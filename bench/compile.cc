@@ -29,8 +29,8 @@
 
 #include "baselines/prototypes.hh"
 #include "bench_util.hh"
+#include "sched/execplan.hh"
 #include "sched/graph/modelspec.hh"
-#include "sched/graph/netcompile.hh"
 #include "sched/progcache.hh"
 
 namespace hydra {
@@ -214,11 +214,11 @@ BM_GraphCompile(benchmark::State& state, const char* machine,
         state.PauseTiming();
         ProgramCache::global().clear();
         state.ResumeTiming();
-        CompiledNetwork cn = compileNetwork(spec, cost, *net, graph,
-                                            OptLevel::Aggressive);
-        units = cn.units.size();
-        changes = cn.report.totalChanges();
-        benchmark::DoNotOptimize(cn.programs.data());
+        ExecPlan plan =
+            compilePlan(spec, cost, *net, graph, OptLevel::Aggressive);
+        units = plan.size();
+        changes = plan.report.totalChanges();
+        benchmark::DoNotOptimize(plan.units.data());
     }
     state.counters["layers"] = static_cast<double>(graph.nodes.size());
     state.counters["units"] = static_cast<double>(units);
@@ -233,11 +233,16 @@ BM_NetMakespan(benchmark::State& state, const char* machine,
 {
     InferenceRunner runner(machineByName(machine));
     NetworkGraph graph = modelGraphByName(model);
+    auto makespan = [&](OptLevel level) {
+        return runner
+            .runPlan(compilePlan(runner.spec(), runner.costModel(),
+                                 runner.network(), graph, level))
+            .total.makespan;
+    };
     Tick safe = 0, aggressive = 0;
     for (auto _ : state) {
-        safe = runner.runGraph(graph, OptLevel::Safe).total.makespan;
-        aggressive =
-            runner.runGraph(graph, OptLevel::Aggressive).total.makespan;
+        safe = makespan(OptLevel::Safe);
+        aggressive = makespan(OptLevel::Aggressive);
         benchmark::DoNotOptimize(safe);
         benchmark::DoNotOptimize(aggressive);
     }

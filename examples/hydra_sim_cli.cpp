@@ -45,8 +45,8 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "math/simd/simd.hh"
+#include "sched/execplan.hh"
 #include "sched/graph/modelspec.hh"
-#include "sched/graph/netcompile.hh"
 #include "sched/progcache.hh"
 
 using namespace hydra;
@@ -186,14 +186,22 @@ main(int argc, char** argv)
 
     if (dumpGraph) {
         if (optLevel == OptLevel::Aggressive) {
-            // Show the post-pass graph: what actually compiles.
+            // Show the post-pass graph: what actually compiles, as the
+            // plan units' member steps in execution order.
             OpCostModel cost(spec.fpga, size_t{1} << 16, spec.dnum);
             std::unique_ptr<NetworkModel> net = spec.makeNetwork();
-            CompiledNetwork cn =
-                compileNetwork(spec, cost, *net, graph, optLevel);
-            graph = cn.graph;
+            ExecPlan plan = compilePlan(spec, cost, *net, graph, optLevel,
+                                        PlanWindow::none());
+            WorkloadModel post;
+            post.name = graph.name;
+            post.logSlots = graph.logSlots;
+            post.maxLimbs = graph.maxLimbs;
+            for (const ExecUnit& u : plan.units)
+                post.steps.insert(post.steps.end(), u.steps.begin(),
+                                  u.steps.end());
+            graph = NetworkGraph::fromModel(post);
             if (!json)
-                std::printf("%s\n", cn.report.describe().c_str());
+                std::printf("%s\n", plan.report.describe().c_str());
         }
         std::printf("%s\n", json ? graph.toJson().c_str()
                                  : graph.describe().c_str());
@@ -257,7 +265,16 @@ main(int argc, char** argv)
     NetOptReport netReport;
     InferenceResult res;
     if (!model.empty()) {
-        res = runner.runGraph(graph, optLevel, &netReport);
+        SpecError err;
+        if (!graph.validate(err)) {
+            std::fprintf(stderr, "bad --model graph: %s\n",
+                         err.describe().c_str());
+            return 1;
+        }
+        ExecPlan plan = compilePlan(spec, runner.costModel(),
+                                    runner.network(), graph, optLevel);
+        netReport = plan.report;
+        res = runner.runPlan(plan);
         std::printf("graph   : %zu layer(s), %s\n\n", graph.nodes.size(),
                     netReport.describe().c_str());
     } else {

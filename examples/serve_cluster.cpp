@@ -72,8 +72,8 @@
 #include "common/logging.hh"
 #include "sched/execplan.hh"
 #include "sched/progcache.hh"
+#include "serve/federation.hh"
 #include "serve/partition.hh"
-#include "serve/sim.hh"
 #include "workloads/model.hh"
 
 using namespace hydra;
@@ -228,19 +228,19 @@ main(int argc, char** argv)
         return 0;
     }
 
-    ServeSim sim(std::move(spec), serve, faults, retry);
-    ServeStats stats = sim.run();
+    Federation fed(std::move(spec), serve, faults, retry);
+    ServeStats stats = fed.run();
 
     if (json) {
         std::printf("%s\n",
-                    stats.toJson(sim.spec().name, serve.describe())
+                    stats.toJson(fed.spec().name, serve.describe())
                         .c_str());
         return 0;
     }
 
     std::printf("machine : %s (%zu server(s) x %zu card(s))",
-                sim.spec().name.c_str(), sim.spec().cluster.servers,
-                sim.spec().cluster.cardsPerServer);
+                fed.spec().name.c_str(), fed.spec().cluster.servers,
+                fed.spec().cluster.cardsPerServer);
     if (serve.clusters > 1)
         std::printf(" x %zu cluster(s)", serve.clusters);
     std::printf("\nserve   : %s\n", serve.describe().c_str());

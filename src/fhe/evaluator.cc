@@ -238,6 +238,12 @@ Evaluator::decomposeDigits(const RnsPoly& d) const
     size_t n = d.n();
     const RnsBasis& basis = *ctx_.basis();
 
+    // Pool scratch for the centered representatives (signed alias of
+    // the same 64-bit words): one n-word slice per digit, acquired
+    // before the fork so pool traffic does not depend on how many
+    // workers run at once.
+    PoolBuffer scratch = BufferPool::global().acquire(levels * n);
+
     // Digits are independent: each lifts one centered residue limb to
     // the full basis and NTTs it, so the digit loop parallelizes whole
     // (the nested limb loops inside fromSigned/toNtt fall back to
@@ -246,10 +252,7 @@ Evaluator::decomposeDigits(const RnsPoly& d) const
     parallelFor(0, levels, [&](size_t i) {
         const Modulus& qi = basis.mod(i);
         const u64* src = d.limbData(i);
-        // Pool scratch for the centered representatives (signed alias
-        // of the same 64-bit words).
-        PoolBuffer scratch = BufferPool::global().acquire(n);
-        i64* centered = reinterpret_cast<i64*>(scratch.data());
+        i64* centered = reinterpret_cast<i64*>(scratch.data() + i * n);
         simd::kernels().toCenteredSpan(centered, src, n, qi.value());
         RnsPoly dig = RnsPoly::fromSigned(ctx_.basis(), levels, true,
                                           centered);
@@ -282,23 +285,24 @@ Evaluator::accumulateKey(const std::vector<RnsPoly>& digits,
     // mulRelin/rotate and the same limb-level parallelism the paper's
     // compute units exploit, so the output-limb loop goes to the pool.
     size_t nn = acc0.n();
+    // The hoisted-rotation variant gathers each digit limb through the
+    // Galois permutation into pooled scratch so the MAC below always
+    // runs on contiguous spans: one nn-word slice per output limb,
+    // acquired before the fork (scheduling-independent pool traffic).
+    PoolBuffer gathered;
+    if (map)
+        gathered = BufferPool::global().acquire((levels + 1) * nn);
     parallelFor(0, levels + 1, [&](size_t kpos) {
         size_t key_pos = kpos < levels ? kpos : key_special_pos;
         const Modulus& mj = acc0.mod(kpos);
         u64* a0 = acc0.limbData(kpos);
         u64* a1 = acc1.limbData(kpos);
-        // The hoisted-rotation variant gathers the digit limb through
-        // the Galois permutation once into pooled scratch so the MAC
-        // below always runs on contiguous spans.
-        PoolBuffer gathered;
-        if (map)
-            gathered = BufferPool::global().acquire(nn);
         for (size_t i = 0; i < digits.size(); ++i) {
             const u64* dl = digits[i].limbData(kpos);
             const u64* bkey = key.b[i].limbData(key_pos);
             const u64* akey = key.a[i].limbData(key_pos);
             if (map) {
-                u64* g = gathered.data();
+                u64* g = gathered.data() + kpos * nn;
                 for (size_t t = 0; t < nn; ++t)
                     g[t] = dl[(*map)[t]];
                 dl = g;

@@ -314,6 +314,9 @@ RnsPoly::divideRoundByLast()
         ntt_l.inverse(corr);
     simd::kernels().toCenteredSpan(centered, corr, nn, ql.value());
 
+    // One nn-word correction slice per limb, acquired before the fork
+    // so pool traffic does not depend on how many workers run at once.
+    PoolBuffer corrections = BufferPool::global().acquire(last * nn);
     parallelFor(0, last, [&](size_t k) {
         size_t kb = basisIndex(k);
         const Modulus& m = basis_->mod(kb);
@@ -321,8 +324,7 @@ RnsPoly::divideRoundByLast()
         u64* limb = limbData(k);
         // Reduce the centered correction into this limb's modulus, NTT
         // it when needed, then fold in (limb - c) * qL^-1 fused.
-        PoolBuffer cb = BufferPool::global().acquire(nn);
-        u64* c = cb.data();
+        u64* c = corrections.data() + k * nn;
         simd::kernels().reduceCenteredSpan(c, centered, nn, m);
         if (nttForm_)
             basis_->ntt(kb).forward(c);

@@ -12,10 +12,10 @@
  *    OptLevel::None/Safe every step becomes one Single unit keyed by
  *    stepCacheKey — the exact keys the pre-ExecPlan runner used, so
  *    cache populations and tick streams are bit-identical;
- *  - the graph path (compileNetwork): at OptLevel::Aggressive the
+ *  - the graph path (partitionNetwork): at OptLevel::Aggressive the
  *    cross-step passes (boot-plan, fuse-linear, prefetch) partition
  *    the network into possibly multi-layer units via
- *    partitionNetwork(), keyed by unitCacheKey.
+ *    the partition, keyed by unitCacheKey.
  *
  * Unit boundaries generalize step boundaries: everything downstream
  * that used to index steps (resumable first_step windows, cake's
@@ -76,7 +76,7 @@ struct PlanWindow
     size_t first = 0;
     size_t count = npos;
 
-    /** Materialize every unit (run()/runGraph semantics). */
+    /** Materialize every unit (run()/runPlan() semantics). */
     static PlanWindow all() { return PlanWindow{}; }
 
     /** Materialize nothing — a skeleton plan (serving dispatch). */

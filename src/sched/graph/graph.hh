@@ -13,8 +13,8 @@
  * The IR round-trips with the flat step-list world: fromModel() lifts a
  * WorkloadModel into a chain graph, toModel() lowers any (acyclic)
  * graph back to a step list in topological order, so every existing
- * consumer of WorkloadModel (InferenceRunner, ServeSim, energy
- * analysis) can run a graph-defined model unchanged.
+ * consumer of WorkloadModel (InferenceRunner, the serving Federation,
+ * energy analysis) can run a graph-defined model unchanged.
  *
  * Depth accounting (paper Eq. 1 generalized across steps): a linear
  * layer consumes one level (its rescale); a non-linear layer consumes

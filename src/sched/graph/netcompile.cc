@@ -149,7 +149,7 @@ partitionNetwork(const PrototypeSpec& spec, const OpCostModel& cost,
     std::vector<uint32_t> order;
     SpecError err;
     if (!graph.topoOrder(order, err))
-        fatal("compileNetwork on an invalid graph: %s",
+        fatal("partitionNetwork on an invalid graph: %s",
               err.describe().c_str());
 
     std::vector<Step> steps;
@@ -274,41 +274,6 @@ compileNetUnit(const PrototypeSpec& spec,
                                      &cs.report);
         return cs;
     });
-}
-
-CompiledNetwork
-compileNetwork(const PrototypeSpec& spec, const OpCostModel& cost,
-               const NetworkModel& net, const NetworkGraph& graph,
-               OptLevel level)
-{
-    NetPartition part = partitionNetwork(spec, cost, net, graph, level);
-
-    // Rebuild the post-pass graph (chain in execution order) so dumps
-    // and unit node ids reflect what actually compiles.
-    WorkloadModel post;
-    post.name = graph.name;
-    post.logSlots = graph.logSlots;
-    post.maxLimbs = graph.maxLimbs;
-    post.steps = part.steps;
-    CompiledNetwork out;
-    out.graph = NetworkGraph::fromModel(post);
-    out.units = std::move(part.units);
-    out.report = part.report;
-
-    // Compile every unit through the shared cache.  Single-layer units
-    // use the step compiler's exact key, so the graph path shares
-    // entries with InferenceRunner::run()/ServeSim.
-    out.programs.reserve(out.units.size());
-    for (const NetUnit& u : out.units) {
-        std::vector<const Step*> members;
-        members.reserve(u.nodes.size());
-        for (uint32_t id : u.nodes)
-            members.push_back(&part.steps[id]);
-        out.programs.push_back(
-            compileNetUnit(spec, spec.cluster, spec.cluster, cost, net,
-                           graph.logSlots, members, u.kind, level));
-    }
-    return out;
 }
 
 } // namespace hydra

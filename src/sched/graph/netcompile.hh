@@ -61,8 +61,8 @@ struct NetUnit
     std::string name;
     /** Procedure kind of the leading layer (roll-up display). */
     ProcKind lead = ProcKind::ConvBN;
-    /** Node ids of the members, in execution order, into
-     *  CompiledNetwork::graph. */
+    /** Indices of the members, in execution order, into
+     *  NetPartition::steps. */
     std::vector<uint32_t> nodes;
 };
 
@@ -116,9 +116,9 @@ struct NetPartition
     NetOptReport report;
 };
 
-/** Run the cross-step passes and unit partition of compileNetwork
- *  without compiling any Program.  The graph must topo-order (fatals
- *  on a cycle, like compileNetwork). */
+/** Run the cross-step passes and unit partition without compiling any
+ *  Program.  The graph must topo-order (fatals on a cycle; callers
+ *  validate() first and report the SpecError). */
 NetPartition partitionNetwork(const PrototypeSpec& spec,
                               const OpCostModel& cost,
                               const NetworkModel& net,
@@ -139,33 +139,6 @@ compileNetUnit(const PrototypeSpec& spec,
                const NetworkModel& net, size_t log_slots,
                const std::vector<const Step*>& members,
                NetUnit::Kind kind, OptLevel level);
-
-/** A fully compiled network: the post-pass graph, its unit partition,
- *  and one shared compiled Program per unit. */
-struct CompiledNetwork
-{
-    /** Post-pass graph (boot-plan rewrites visible), re-annotated. */
-    NetworkGraph graph;
-    std::vector<NetUnit> units;
-    /** programs[i] executes units[i]; entries come from (and live in)
-     *  the process-wide ProgramCache. */
-    std::vector<std::shared_ptr<const CompiledStep>> programs;
-    NetOptReport report;
-};
-
-/**
- * Compile `graph` for `spec`'s machine at `level`.  The graph must be
- * validate()-clean (callers report the SpecError; this fatals).
- * Compiled unit programs are cached process-wide: single-layer units
- * share entries with the step compiler's stepCacheKey population;
- * multi-layer units get network-aware keys (machine half + every
- * member's content half + the unit kind).
- */
-CompiledNetwork compileNetwork(const PrototypeSpec& spec,
-                               const OpCostModel& cost,
-                               const NetworkModel& net,
-                               const NetworkGraph& graph,
-                               OptLevel level = OptLevel::Safe);
 
 /** Cache key of a multi-layer unit (exposed for tests). */
 std::string unitCacheKey(const PrototypeSpec& spec,

@@ -10,7 +10,8 @@
  * step content — and is fault-independent: fault plans act at
  * *execution* time, so a cached Program stays valid under any
  * FaultPlan.  InferenceRunner (run / degraded re-dispatch / runJob)
- * and ServeSim therefore share one process-wide cache keyed by those
+ * and the serving Federation therefore share one process-wide cache
+ * keyed by those
  * inputs, in the counter style of BufferPool: deep serving runs and
  * repeated identical layers (ResNet blocks, transformer layers) hit
  * after the first compile.

@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "sched/execplan.hh"
-#include "sched/graph/netcompile.hh"
 #include "sched/progcache.hh"
 
 namespace hydra {
@@ -120,26 +119,6 @@ InferenceResult
 InferenceRunner::run(const WorkloadModel& workload) const
 {
     return runPlan(compilePlan(spec_, cost_, *net_, workload));
-}
-
-InferenceResult
-InferenceRunner::runGraph(const NetworkGraph& graph, OptLevel level,
-                          NetOptReport* report) const
-{
-    SpecError err;
-    if (!graph.validate(err)) {
-        InferenceResult result;
-        result.machine = spec_.name;
-        result.workload = graph.name;
-        result.error.kind = RunError::Kind::InvalidProgram;
-        result.error.message = "runGraph: " + err.describe();
-        return result;
-    }
-
-    ExecPlan plan = compilePlan(spec_, cost_, *net_, graph, level);
-    if (report)
-        *report = plan.report;
-    return runPlan(plan);
 }
 
 std::shared_ptr<const ExecPlan>
@@ -333,30 +312,6 @@ InferenceRunner::run(const WorkloadModel& workload,
     return execFaulted(spec_, *net_, plan, cards, 0,
                        /*absolute_clock=*/false, faults, retry, 0,
                        static_cast<size_t>(-1));
-}
-
-InferenceResult
-InferenceRunner::runJob(const WorkloadModel& workload,
-                        const CardGroup& group, Tick start_tick,
-                        const FaultPlan& faults,
-                        const RetryPolicy& retry, size_t first_step,
-                        size_t num_steps) const
-{
-    if (group.cards.empty()) {
-        InferenceResult result;
-        result.machine = spec_.name;
-        result.workload = workload.name;
-        result.error.kind = RunError::Kind::InvalidProgram;
-        result.error.message = "runJob: empty card group";
-        return result;
-    }
-    PrototypeSpec sub = groupSubSpec(spec_, group);
-    std::unique_ptr<NetworkModel> net = sub.makeNetwork();
-    ExecPlan plan = compilePlan(sub, cost_, *net, workload,
-                                OptLevel::Safe, PlanWindow::none());
-    return execFaulted(sub, *net, plan, group.cards, start_tick,
-                       /*absolute_clock=*/true, faults, retry,
-                       first_step, num_steps);
 }
 
 InferenceResult

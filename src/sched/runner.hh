@@ -20,8 +20,6 @@
 
 namespace hydra {
 
-struct NetworkGraph;
-struct NetOptReport;
 struct ExecPlan;
 
 /** A named machine configuration (Hydra-S/M/L, FAB-*, Poseidon). */
@@ -91,7 +89,7 @@ struct InferenceResult
      * which each successfully completed step ended, in execution order
      * (sync latency included).  The serving layer uses these to resume
      * a job killed mid-run from its last completed step boundary via
-     * runJob(first_step, ...) instead of restarting from step 0.
+     * runJob(plan, ..., first_unit) instead of restarting from unit 0.
      */
     std::vector<Tick> stepEnds;
 
@@ -129,13 +127,12 @@ struct InferenceResult
  * Runs workloads on one machine.
  *
  * Every execution path is a thin driver over an ExecPlan
- * (sched/execplan.hh): run()/runGraph() compile a materialized
- * machine plan and replay it unit by unit; the fault-aware overloads
- * and runJob() feed a plan through one unified degraded-re-dispatch
- * driver.  The legacy WorkloadModel entry points are kept as
- * bit-identical wrappers; plan-first callers (the serving layer)
- * compile once via planFor()/planForJob() and execute windows of the
- * shared plan.
+ * (sched/execplan.hh).  compilePlan() is the one compile entry point
+ * (a WorkloadModel or a NetworkGraph at any OptLevel); runPlan()
+ * replays a machine-scoped plan unit by unit, and runJob() feeds a
+ * job-scoped plan through the one degraded-re-dispatch driver.  run()
+ * is run(compilePlan(workload)); the serving layer compiles once via
+ * planForJob() and executes windows of the shared plan.
  */
 class InferenceRunner
 {
@@ -152,8 +149,7 @@ class InferenceRunner
     /**
      * Compile `workload` into a materialized machine-scoped ExecPlan
      * (every unit's Program resolved through the shared ProgramCache
-     * at build time).  run()/runGraph() semantics over the plan come
-     * from runPlan().
+     * at build time), for runPlan().
      */
     std::shared_ptr<const ExecPlan>
     planFor(const WorkloadModel& workload,
@@ -191,32 +187,29 @@ class InferenceRunner
             size_t num_units = static_cast<size_t>(-1)) const;
 
     /**
-     * Job-scoped, resumable plan execution: the plan-first form of
-     * runJob() below, with windows indexing plan *units* instead of
-     * workload steps.  `plan` should come from planForJob() with the
-     * same group (any plan whose cluster shape differs from the
-     * group's sub-machine is recompiled per unit via the cache).
+     * Job-scoped, resumable execution for the serving layer: run units
+     * [first_unit, first_unit + num_units) of `plan` confined to
+     * `group`'s cards, starting at absolute virtual time `start_tick`
+     * on a shared clock (the executor's time origin).  `plan` should
+     * come from planForJob() with the same group (any plan whose
+     * cluster shape differs from the group's sub-machine is
+     * recompiled per unit via the cache).
+     *
+     * Fault-plan card indices are machine-global (entries for cards
+     * outside the group are ignored) and cardFailAt ticks are absolute
+     * serve-clock times — no caller-side shifting.  On a permanent
+     * card failure inside the group the failed unit is re-dispatched
+     * onto the group's survivors exactly like run(faults), and the
+     * result's failedCards reports original machine indices.
+     *
+     * The returned total.makespan is the job's duration, i.e. the job
+     * ends at start_tick + total.makespan.
      */
     InferenceResult
     runJob(const ExecPlan& plan, const CardGroup& group, Tick start_tick,
            const FaultPlan& faults = {}, const RetryPolicy& retry = {},
            size_t first_unit = 0,
            size_t num_units = static_cast<size_t>(-1)) const;
-
-    /**
-     * Graph-compiled execution (DESIGN.md §15): compile `graph`
-     * through the network compiler at `level` and execute the
-     * resulting units in order.  At OptLevel::Safe this is
-     * tick-identical to run(graph.toModel()) — one unit per layer,
-     * same cache keys, same per-step sync accounting; Aggressive
-     * enables the cross-step passes (boot-plan, fuse-linear,
-     * prefetch).  An invalid graph surfaces as a structured
-     * InferenceResult::error, never an abort.  When `report` is
-     * non-null it receives the pass statistics.
-     */
-    InferenceResult runGraph(const NetworkGraph& graph,
-                             OptLevel level = OptLevel::Safe,
-                             NetOptReport* report = nullptr) const;
 
     /**
      * Fault-aware execution (Procedure-2 robustness).  Runs each step
@@ -231,30 +224,6 @@ class InferenceRunner
     InferenceResult run(const WorkloadModel& workload,
                         const FaultPlan& faults,
                         const RetryPolicy& retry = {}) const;
-
-    /**
-     * Job-scoped, resumable execution for the serving layer: run steps
-     * [first_step, first_step + num_steps) of `workload` confined to
-     * `group`'s cards, starting at absolute virtual time `start_tick`
-     * on a shared clock (the executor's time origin).
-     *
-     * Fault-plan card indices are machine-global (entries for cards
-     * outside the group are ignored) and cardFailAt ticks are absolute
-     * serve-clock times — no caller-side shifting.  On a permanent
-     * card failure inside the group the failed step is re-dispatched
-     * onto the group's survivors exactly like run(), and the result's
-     * failedCards reports original machine indices.
-     *
-     * The returned total.makespan is the job's duration, i.e. the job
-     * ends at start_tick + total.makespan.
-     */
-    InferenceResult runJob(const WorkloadModel& workload,
-                           const CardGroup& group, Tick start_tick,
-                           const FaultPlan& faults = {},
-                           const RetryPolicy& retry = {},
-                           size_t first_step = 0,
-                           size_t num_steps = static_cast<size_t>(-1))
-        const;
 
     /**
      * Fused execution: all steps preloaded into the card queues as one

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "common/logging.hh"
 #include "sched/execplan.hh"
@@ -26,7 +27,7 @@ constexpr uint32_t kFailoverBudget = 3;
  * entries stripped (the routing tier interprets those), and the seed
  * decorrelated per cluster so identical clusters don't fail in
  * lockstep.  Cluster 0 keeps the plan's own seed, so a single-cluster
- * federation is tick-identical to the pre-federation ServeSim.
+ * federation runs exactly the plan it was given.
  */
 FaultPlan
 clusterLocalPlan(const FaultPlan& f, size_t c, size_t cards_per)
@@ -48,7 +49,8 @@ clusterLocalPlan(const FaultPlan& f, size_t c, size_t cards_per)
     return out;
 }
 
-/** What one dispatched job did, carried into its completion event. */
+/** What one executed unit window did, carried into its completion
+ *  event. */
 struct JobOutcome
 {
     bool ok = true;
@@ -62,7 +64,7 @@ struct JobOutcome
 };
 
 /** An in-flight job; erased on completion, cluster-kill abort, or a
- *  cake step-boundary preemption. */
+ *  step-boundary preemption. */
 struct JobRecord
 {
     Request req;
@@ -70,9 +72,7 @@ struct JobRecord
     size_t group = 0; // cluster-local group id
     Tick start = 0;
     JobOutcome out;
-
-    // Cake-scheduler state (unused on the fifo path).
-    /** Deficit-ledger weight this dispatch was charged at. */
+    /** Charge weight of this dispatch: 2 for spillover, else 1. */
     uint64_t weight = 1;
     /** Absolute tick of the next armed slice check (0 = none). */
     Tick sliceEnd = 0;
@@ -115,6 +115,60 @@ struct ClusterRt
     }
 };
 
+/**
+ * The queue discipline: the one axis on which `sched=fifo` and
+ * `sched=cake` differ.  It holds the admitted work and decides which
+ * request an idle group runs next; cake also charges and refunds the
+ * deficit ledger and arms step-boundary slices (DESIGN.md §14).  Fifo
+ * is the discipline that never charges, steals or slices.  Queue-wait
+ * and service accounting stay per discipline: both formulas are
+ * folded into the stats hash.
+ */
+class Discipline
+{
+  public:
+    Discipline() = default;
+    Discipline(const Discipline&) = delete;
+    Discipline& operator=(const Discipline&) = delete;
+    virtual ~Discipline() = default;
+
+    virtual size_t depth() const = 0;
+    /** Queued requests of one workload class (stall diagnostics). */
+    virtual size_t depthFor(size_t wl) const = 0;
+    /** Earliest queued request (stall diagnostics). */
+    virtual const Request* oldest() const = 0;
+    /** New admissions shed on a full queue. */
+    virtual bool full() const = 0;
+    virtual std::vector<Request> drainAll() = 0;
+    /** Queue admitted work.  Re-admissions (failovers, preempted
+     *  remainders) held no queue slot while running, so they bypass
+     *  the capacity gate. */
+    virtual void push(const Request& r) = 0;
+
+    /** Whether any route can still serve workload class `wl`. */
+    virtual bool servable(size_t wl) const = 0;
+    /** Shed (or re-route) queued work that lost its last route. */
+    virtual void flushUnservable() = 0;
+    /** A card of a group serving class `wl` died. */
+    virtual void cardLost(size_t wl) = 0;
+
+    /** Start of a dispatch round. */
+    virtual void beginRound() {}
+    /** The request idle group `g` of `cl` runs next, or nullopt. */
+    virtual std::optional<Request> next(const ClusterRt& cl,
+                                        const ServeGroup& g) = 0;
+    /** Job `id` started; its outcome is known.  `sliceable` is false
+     *  on clusters with local fault injection. */
+    virtual void started(uint64_t, JobRecord&, bool) {}
+    /** The job stopped early (abort or preemption) after `ran` ticks. */
+    virtual void stopped(JobRecord&, Tick) {}
+    /** The job ran its whole window; records queue wait and service
+     *  when it succeeded. */
+    virtual void finished(const JobRecord& jr, Tick now) = 0;
+    /** Fold the discipline's counters into the run's stats. */
+    virtual void report(ServeStats&) const {}
+};
+
 /** One federated run's mutable state; lives for the duration of run(). */
 struct Engine
 {
@@ -129,24 +183,17 @@ struct Engine
 
     EventQueue eq;
     WorkloadGen gen;
-    AdmissionQueue queue;
     std::vector<ClusterRt> clusters;
     HealthMonitor health;
     size_t cardsPer = 0;
 
-    std::vector<uint64_t> servedPerTenant;
     /** In-flight jobs and probes, keyed by a shared token counter; a
      *  std::map so cluster-kill iteration is in dispatch order. */
     std::map<uint64_t, JobRecord> inflight;
     std::map<uint64_t, ProbeRecord> probes;
     uint64_t nextToken = 1;
 
-    // Cake-scheduler state (null on the fifo path, which must stay
-    // bit-identical to its pre-scheduler behaviour).
-    bool cakeOn = false;
-    size_t groupsPer = 0; // shards per cluster (identical machines)
-    std::unique_ptr<DeficitLedger> ledger;
-    std::unique_ptr<CakeQueue> crq;
+    std::unique_ptr<Discipline> disc;
     JobCache jobCache;
 
     // Unified ExecPlan dispatch: every tenant's jobs execute a
@@ -165,12 +212,6 @@ struct Engine
     /** ProgramCache snapshot at construction: go() reports this run's
      *  deltas (the cache is process-wide and outlives the run). */
     ProgramCache::Stats progBase;
-    /** Ticks actually executed, weighted like the ledger's charges:
-     *  chargedTicks == refundedTicks + executedTicks, mod 2^64. */
-    uint64_t executedTicks = 0;
-    /** Lower bound on the earliest queued arrival: the starvation
-     *  sweep runs only once `now` passes bound + kick. */
-    Tick minArrivalBound = ~Tick{0};
 
     ServeStats stats;
     Tick lastActivity = 0;
@@ -179,41 +220,7 @@ struct Engine
 
     Engine(const PrototypeSpec& spec_, const ServeSpec& serve_,
            const FaultPlan& faults_, const RetryPolicy& retry_,
-           const HealthPolicy& health_)
-        : spec(spec_), serve(serve_), faults(faults_), retry(retry_),
-          runner(spec_), wlNames(serve_.workloadTable()),
-          gen(serve_, wlNames), queue(serve_.queueCapacity),
-          health(serve_.clusters ? serve_.clusters : 1, health_),
-          cardsPer(spec_.cluster.totalCards())
-    {
-        models.reserve(wlNames.size());
-        // Unified resolution: hand-built step registry first, then the
-        // declarative model registry — serving tenants can name a
-        // graph-compiled model ("mlp3") like any legacy workload.
-        for (const auto& n : wlNames)
-            models.push_back(resolveWorkloadModel(n));
-        size_t n = serve.clusters ? serve.clusters : 1;
-        clusters.reserve(n);
-        for (size_t c = 0; c < n; ++c)
-            clusters.emplace_back(c, spec, serve, wlNames,
-                                  clusterLocalPlan(faults, c, cardsPer));
-        servedPerTenant.assign(serve.tenants.size(), 0);
-        stats.tenants.resize(serve.tenants.size());
-        for (size_t i = 0; i < serve.tenants.size(); ++i)
-            stats.tenants[i].name = serve.tenants[i].name;
-        tenantOpt.reserve(serve.tenants.size());
-        for (const auto& t : serve.tenants)
-            tenantOpt.push_back(t.opt);
-        progBase = ProgramCache::global().stats();
-        if (serve.sched == SchedPolicy::Cake) {
-            cakeOn = true;
-            stats.sched = schedPolicyName(serve.sched);
-            groupsPer = clusters.front().fleet.groups().size();
-            ledger = std::make_unique<DeficitLedger>(serve);
-            crq = std::make_unique<CakeQueue>(
-                clusters.size() * groupsPer, serve.queueCapacity);
-        }
-    }
+           const HealthPolicy& health_);
 
     TenantStats& tenant(const Request& r) { return stats.tenants[r.tenant]; }
 
@@ -253,24 +260,15 @@ struct Engine
         return it->second;
     }
 
-    /** Queued-request count under the active policy. */
-    size_t qdepth() const { return cakeOn ? crq->depth() : queue.depth(); }
-
     /** Fold queue depth into the time-weighted integral; call before
      *  any mutation of the queue at the current tick. */
     void
     noteDepth()
     {
         Tick now = eq.now();
-        depthAcc += static_cast<double>(qdepth()) *
+        depthAcc += static_cast<double>(disc->depth()) *
                     static_cast<double>(now - lastDepthTick);
         lastDepthTick = now;
-    }
-
-    /** Shard id of a (cluster, cluster-local group) pair. */
-    size_t sid(size_t cluster, size_t group) const
-    {
-        return cluster * groupsPer + group;
     }
 
     /** Routable cluster: can hold queued work / accept admissions
@@ -279,136 +277,6 @@ struct Engine
     clusterAlive(const ClusterRt& cl) const
     {
         return !cl.killed && !health.dead(cl.id);
-    }
-
-    /** Cake servability: any live group of any alive cluster can run
-     *  any workload (runJob is model-parameterized), so a class loses
-     *  its route only when the whole federation has none. */
-    bool
-    anyLiveGroup() const
-    {
-        for (const auto& cl : clusters) {
-            if (!clusterAlive(cl))
-                continue;
-            for (const auto& g : cl.fleet.groups())
-                if (g.live())
-                    return true;
-        }
-        return false;
-    }
-
-    /**
-     * Admission routing: shallowest shard among the live groups that
-     * natively serve `r`'s class, falling back to any live group when
-     * the class has no native group left (cross-class serving).
-     * Returns the shard count when nothing is routable.
-     */
-    size_t
-    pickShard(const Request& r) const
-    {
-        size_t best = clusters.size() * groupsPer;
-        size_t bestDepth = 0;
-        for (int pass = 0; pass < 2; ++pass) {
-            for (const auto& cl : clusters) {
-                if (!clusterAlive(cl))
-                    continue;
-                for (const auto& g : cl.fleet.groups()) {
-                    if (!g.live())
-                        continue;
-                    if (pass == 0 && g.workload != r.workload)
-                        continue;
-                    size_t s = sid(cl.id, g.id);
-                    size_t d = crq->shardDepth(s);
-                    if (best == clusters.size() * groupsPer ||
-                        d < bestDepth) {
-                        best = s;
-                        bestDepth = d;
-                    }
-                }
-            }
-            if (best != clusters.size() * groupsPer)
-                break; // native pass found a home
-        }
-        return best;
-    }
-
-    /** Unconditional re-admission of already-admitted work (preempt
-     *  remainders, failovers): bypasses the capacity gate, like the
-     *  fifo path's AdmissionQueue::requeue. */
-    void
-    requeueAdmitted(const Request& r)
-    {
-        if (!cakeOn) {
-            queue.requeue(r);
-            return;
-        }
-        size_t s = pickShard(r);
-        crq->push(s, r);
-        minArrivalBound = std::min(minArrivalBound, r.arrival);
-    }
-
-    /** Re-route queued work stranded on the shard of a dissolved
-     *  group or a dead/killed cluster; sheds only when the whole
-     *  federation has no live group left. */
-    void
-    rerouteDeadShards()
-    {
-        for (auto& cl : clusters) {
-            bool clusterOk = clusterAlive(cl);
-            for (auto& g : cl.fleet.groups()) {
-                size_t s = sid(cl.id, g.id);
-                if ((clusterOk && g.live()) || !crq->shardDepth(s))
-                    continue;
-                noteDepth();
-                for (const auto& r : crq->drainShard(s)) {
-                    size_t to = pickShard(r);
-                    if (to == clusters.size() * groupsPer)
-                        shedAdmitted(r);
-                    else
-                        crq->push(to, r);
-                }
-            }
-        }
-    }
-
-    /** Starvation sweep: mark queued requests older than the kick cap
-     *  so they outrank every tier and deficit at the next dispatch.
-     *  Gated on a lower arrival bound, so runs where work is served
-     *  within its budget never pay for the scan. */
-    void
-    markKicks()
-    {
-        Tick now = eq.now();
-        Tick kick = serve.kickTicks();
-        if (!crq->depth() || minArrivalBound > now ||
-            now - minArrivalBound < kick)
-            return;
-        minArrivalBound =
-            crq->kickStarved(now, kick, [this](const Request& r) {
-                ++stats.kicks;
-                ++tenant(r).kicks;
-            });
-    }
-
-    /** Any cluster that could (now or after healing) serve `wl`:
-     *  quarantined clusters count — their queued work waits for the
-     *  probe path — but dead/killed ones don't. */
-    bool
-    servableAnywhere(size_t wl) const
-    {
-        for (const auto& cl : clusters)
-            if (!cl.killed && !health.dead(cl.id) &&
-                cl.fleet.servable(wl))
-                return true;
-        return false;
-    }
-
-    /** Policy-aware servability: fifo needs a native group for the
-     *  class; cake serves any class on any live group. */
-    bool
-    servable(size_t wl) const
-    {
-        return cakeOn ? anyLiveGroup() : servableAnywhere(wl);
     }
 
     void
@@ -450,34 +318,19 @@ struct Engine
         eq.schedule(r.arrival, [this, r] { onArrival(r); });
     }
 
-    /** Shed queued work of every workload class that lost its last
-     *  possible route (all serving clusters dead).  Cake instead
-     *  re-routes stranded shards first — work sheds only when the
-     *  whole federation has no live group. */
+    /** Queue admitted work (new or re-admitted) and track the queue
+     *  high mark. */
     void
-    flushUnservable()
+    enqueue(const Request& r)
     {
-        if (cakeOn) {
-            rerouteDeadShards();
-            if (!anyLiveGroup() && crq->depth()) {
-                noteDepth();
-                for (const auto& r : crq->drainAll())
-                    shedAdmitted(r);
-            }
-            return;
-        }
-        for (size_t wl = 0; wl < wlNames.size(); ++wl) {
-            if (queue.depthFor(wl) == 0 || servableAnywhere(wl))
-                continue;
-            noteDepth();
-            for (const auto& r : queue.drainWorkload(wl))
-                shedAdmitted(r);
-        }
+        noteDepth();
+        disc->push(r);
+        stats.maxQueueDepth = std::max(stats.maxQueueDepth, disc->depth());
     }
 
     /** Kill a card (cluster-local index): record it, repair that
-     *  cluster's partition, and flush queued work of a workload class
-     *  that lost its last group federation-wide. */
+     *  cluster's partition, and let the discipline flush or re-route
+     *  the work that lost its route. */
     void
     applyDeath(ClusterRt& cl, size_t local)
     {
@@ -493,15 +346,7 @@ struct Engine
         if (action == FleetPartition::DeathAction::Dissolved ||
             action == FleetPartition::DeathAction::Donated)
             ++stats.repartitions;
-        if (cakeOn) {
-            // A dissolved group strands its shard; its work re-routes
-            // (or sheds, if the federation has no live group left).
-            rerouteDeadShards();
-        } else if (!servableAnywhere(wl)) {
-            noteDepth();
-            for (const auto& r : queue.drainWorkload(wl))
-                shedAdmitted(r);
-        }
+        disc->cardLost(wl);
     }
 
     /** Apply kills dated at or before `now` on `g`'s cards that the
@@ -527,38 +372,30 @@ struct Engine
         lastActivity = std::max(lastActivity, now);
         ++stats.offered;
         ++tenant(r).offered;
-        if (!servable(r.workload)) {
+        if (!disc->servable(r.workload)) {
             shedNew(r, RejectReason::NoCapacity);
             respawnClosed(r);
             return;
         }
-        if (cakeOn ? crq->full() : queue.full()) {
+        if (disc->full()) {
             shedNew(r, RejectReason::QueueFull);
             respawnClosed(r);
             return;
         }
-        noteDepth();
-        if (cakeOn) {
-            crq->push(pickShard(r), r);
-            minArrivalBound = std::min(minArrivalBound, r.arrival);
-        } else {
-            queue.offer(r);
-        }
         ++stats.admitted;
         ++tenant(r).admitted;
-        stats.maxQueueDepth = std::max(stats.maxQueueDepth, qdepth());
+        enqueue(r);
         dispatchIdle();
     }
 
-    /** Health-gated routing: healthy clusters pull first, degraded
-     *  ones take what's left, quarantined/dead receive nothing. */
+    /** The one dispatch loop.  Health-gated routing: healthy clusters
+     *  pull first, degraded ones take what's left, quarantined/dead
+     *  receive nothing; the discipline picks each idle group's next
+     *  request. */
     void
     dispatchIdle()
     {
-        if (cakeOn) {
-            dispatchIdleCake();
-            return;
-        }
+        disc->beginRound();
         for (bool progress = true; progress;) {
             progress = false;
             for (ClusterHealth rank :
@@ -570,8 +407,7 @@ struct Engine
                         if (!g.live() || g.busy)
                             continue;
                         noteDepth();
-                        auto r =
-                            queue.popFor(g.workload, servedPerTenant);
+                        auto r = disc->next(cl, g);
                         if (!r)
                             continue;
                         startJob(cl, g, *r);
@@ -582,106 +418,59 @@ struct Engine
         }
     }
 
-    /** Cake dispatch: each idle group pops the best-ranked request of
-     *  its own shard, then steals from the deepest shard anywhere in
-     *  the federation (capacity follows demand, across workload
-     *  classes and clusters).  Same health gating as the fifo path. */
-    void
-    dispatchIdleCake()
+    /**
+     * Execute units [first, first + count) of `plan` on `cards` from
+     * now.  With `memo` the window replays from the JobCache (span-
+     * exact, serve/jobcache.hh) and a miss is memoized; only fault-free
+     * clusters may memoize, so absolute-tick faults always land in a
+     * real execution.
+     */
+    JobOutcome
+    runWindow(const ClusterRt& cl, const ExecPlan& plan,
+              const CardGroup& cards, size_t first, size_t count,
+              bool memo)
     {
-        markKicks();
-        for (bool progress = true; progress;) {
-            progress = false;
-            for (ClusterHealth rank :
-                 {ClusterHealth::Healthy, ClusterHealth::Degraded}) {
-                for (auto& cl : clusters) {
-                    if (health.state(cl.id) != rank)
-                        continue;
-                    for (auto& g : cl.fleet.groups()) {
-                        if (!g.live() || g.busy)
-                            continue;
-                        size_t s = sid(cl.id, g.id);
-                        noteDepth();
-                        size_t victim = s;
-                        auto r = crq->popBest(s, *ledger);
-                        if (!r)
-                            r = crq->steal(s, *ledger, &victim);
-                        if (!r)
-                            continue;
-                        if (victim != s) {
-                            ++stats.steals;
-                            ++tenant(*r).steals;
-                            if (victim / groupsPer != cl.id)
-                                ++stats.stealsCross;
-                        }
-                        startJobCake(cl, g, *r);
-                        progress = true;
-                    }
-                }
-            }
+        Tick now = eq.now();
+        JobOutcome out;
+        auto setEnds = [&](const std::vector<Tick>& rel) {
+            out.stepEnds.reserve(rel.size());
+            for (Tick t : rel)
+                out.stepEnds.push_back(now + t);
+        };
+        if (const CachedJob* hit =
+                memo ? jobCache.lookup(plan.key, cards.cards, first,
+                                       count)
+                     : nullptr) {
+            out.ok = hit->ok;
+            out.span = hit->span;
+            setEnds(hit->stepEnds);
+            return out;
         }
+        InferenceResult res = runner.runJob(plan, cards, now, cl.faults,
+                                            retry, first, count);
+        if (memo)
+            jobCache.insert(plan.key, cards.cards, first, count, res);
+        out.ok = res.ok();
+        out.span = res.total.makespan;
+        out.failedCards = std::move(res.failedCards);
+        out.redispatches = res.redispatches;
+        out.recoveryPenalty = res.recoveryPenalty;
+        out.timedOut = res.total.timedOutTransfers;
+        setEnds(res.stepEnds);
+        return out;
     }
 
+    /**
+     * The one job-start body: run request `r` on idle group `g` from
+     * its checkpointed unit onward.  The job executes the REQUEST's
+     * model on the group's cards (fifo only ever pairs a request with
+     * a group of its own class; cake serves any class anywhere).
+     */
     void
     startJob(ClusterRt& cl, ServeGroup& g, Request r)
     {
         Tick now = eq.now();
         r.dispatched = now;
-        // Deficit charge: spillover traffic counts double in the
-        // least-served fairness ledger, so a tenant riding failover
-        // capacity loses dequeue ties to native tenants.
-        servedPerTenant[r.tenant] += r.spilled ? 2 : 1;
-        if (r.spilled)
-            ++stats.spilled;
-        g.busy = true;
-        const ExecPlan& plan =
-            planOf(g.workload, tenantOpt[r.tenant], g.cards);
-        size_t total = plan.size();
-        size_t first = std::min(r.firstStep, total);
-        // Every job executes for real on the shared clock — reuse
-        // comes from the compiled-program cache behind the plan's
-        // units, not from memoized service times, so absolute-tick
-        // faults always land where they should.
-        InferenceResult res = runner.runJob(plan, g.cards, now,
-                                            cl.faults, retry, first,
-                                            total - first);
-        uint64_t id = nextToken++;
-        JobRecord& jr = inflight[id];
-        jr.req = r;
-        jr.cluster = cl.id;
-        jr.group = g.id;
-        jr.start = now;
-        jr.out.ok = res.ok();
-        jr.out.span = res.total.makespan;
-        jr.out.failedCards = res.failedCards;
-        jr.out.redispatches = res.redispatches;
-        jr.out.recoveryPenalty = res.recoveryPenalty;
-        jr.out.timedOut = res.total.timedOutTransfers;
-        jr.out.stepEnds.reserve(res.stepEnds.size());
-        for (Tick t : res.stepEnds)
-            jr.out.stepEnds.push_back(now + t);
-        eq.schedule(now + jr.out.span, [this, id] { onComplete(id); });
-    }
-
-    /**
-     * Cake dispatch of one request on one group: cross-class (the job
-     * runs the REQUEST's model on the group's cards), deficit-charged
-     * at dispatch, cache-accelerated on fault-free clusters, and
-     * sliceable at step boundaries (DESIGN.md §14).
-     */
-    void
-    startJobCake(ClusterRt& cl, ServeGroup& g, Request r)
-    {
-        Tick now = eq.now();
-        if (r.executed == 0) {
-            r.firstDispatch = now;
-            stats.maxWaitTicks =
-                std::max(stats.maxWaitTicks, now - r.arrival);
-        } else {
-            ++stats.preemptResumes;
-        }
-        r.dispatched = now;
-        servedPerTenant[r.tenant] += r.spilled ? 2 : 1;
         if (r.spilled)
             ++stats.spilled;
         g.busy = true;
@@ -689,7 +478,6 @@ struct Engine
             planOf(r.workload, tenantOpt[r.tenant], g.cards);
         size_t total = plan.size();
         size_t first = std::min(r.firstStep, total);
-        uint64_t weight = r.spilled ? 2 : 1;
 
         uint64_t id = nextToken++;
         JobRecord& jr = inflight[id];
@@ -697,111 +485,22 @@ struct Engine
         jr.cluster = cl.id;
         jr.group = g.id;
         jr.start = now;
-        jr.weight = weight;
-
-        // Fault-free clusters replay memoized windows (runJob is
-        // start-invariant there, see serve/jobcache.hh); any cluster
-        // with local fault injection always executes for real.
+        jr.weight = r.spilled ? 2 : 1;
+        // Only fault-free clusters memoize windows or slice them: a
+        // slice discards the tail of the dispatched window, which would
+        // silently discard tail-resident fault effects.
         const bool faultFree = cl.faults.empty();
-        std::vector<Tick> rel; // window-relative unit ends
-        const CachedJob* hit =
-            faultFree ? jobCache.lookup(plan.key, g.cards.cards, first,
-                                        total - first)
-                      : nullptr;
-        if (hit) {
-            jr.out.ok = hit->ok;
-            jr.out.span = hit->span;
-            rel = hit->stepEnds;
-        } else {
-            InferenceResult res =
-                runner.runJob(plan, g.cards, now, cl.faults, retry,
-                              first, total - first);
-            jr.out.ok = res.ok();
-            jr.out.span = res.total.makespan;
-            jr.out.failedCards = res.failedCards;
-            jr.out.redispatches = res.redispatches;
-            jr.out.recoveryPenalty = res.recoveryPenalty;
-            jr.out.timedOut = res.total.timedOutTransfers;
-            rel = res.stepEnds;
-            if (faultFree)
-                jobCache.insert(plan.key, g.cards.cards, first,
-                                total - first, res);
-        }
-        jr.out.stepEnds.reserve(rel.size());
-        for (Tick t : rel)
-            jr.out.stepEnds.push_back(now + t);
-
-        ledger->charge(r.tenant, jr.out.span, weight);
-        // Step-boundary preemption arms only on fault-free clusters:
-        // slicing discards the tail of the dispatched window, which
-        // would silently discard tail-resident fault effects.
-        if (faultFree)
-            armSlice(id, now);
+        jr.out = runWindow(cl, plan, g.cards, first, total - first,
+                           faultFree);
+        disc->started(id, jr, faultFree);
         eq.schedule(now + jr.out.span, [this, id] { onComplete(id); });
     }
 
-    /** Arm the next slice check of job `id`: the first step boundary
-     *  at least one wait budget past `from` that still leaves a step
-     *  after it.  No-op when no such boundary exists (short jobs run
-     *  whole). */
+    /** A job left its group early or on time: launch a pending probe
+     *  and refill the idle groups. */
     void
-    armSlice(uint64_t id, Tick from)
+    afterRelease(ClusterRt& cl)
     {
-        JobRecord& jr = inflight[id];
-        // Per-tier quantum: hog-prone low tiers can be sliced finer
-        // than latency-tier jobs (spec quanta; legacy = tier-0 wait
-        // budget for everyone).  The AQM-demoted tier is used, so a
-        // demoted hog inherits the deeper tier's (usually shorter)
-        // slice.
-        Tick quantum =
-            serve.quantumTicks(ledger->effectiveTier(jr.req.tenant));
-        const auto& ends = jr.out.stepEnds;
-        for (size_t k = 0; k + 1 < ends.size(); ++k) {
-            if (ends[k] < from + quantum)
-                continue;
-            jr.sliceEnd = ends[k];
-            jr.sliceSteps = k + 1;
-            eq.schedule(ends[k], [this, id] { onSliceCheck(id); });
-            return;
-        }
-        jr.sliceEnd = 0;
-    }
-
-    /** Slice checkpoint: with work queued, preempt here — the group
-     *  frees, the remainder requeues from this step boundary with its
-     *  unrun span refunded; with nothing queued, re-arm one budget
-     *  further out and let the job run. */
-    void
-    onSliceCheck(uint64_t id)
-    {
-        auto it = inflight.find(id);
-        if (it == inflight.end() || it->second.sliceEnd != eq.now())
-            return; // completed, aborted, or stale
-        if (crq->depth() == 0) {
-            armSlice(id, eq.now());
-            return;
-        }
-        JobRecord jr = std::move(it->second);
-        inflight.erase(it);
-        Tick now = eq.now();
-        lastActivity = std::max(lastActivity, now);
-        ClusterRt& cl = clusters[jr.cluster];
-        ServeGroup& g = cl.fleet.groups()[jr.group];
-        g.busy = false;
-        Tick ran = now - jr.start;
-        g.busyTicks += ran;
-        executedTicks += ran * jr.weight;
-        ledger->refund(jr.req.tenant, jr.out.span - ran, jr.weight);
-        ++stats.preemptions;
-        ++tenant(jr.req).preemptions;
-
-        Request r = jr.req;
-        r.executed += ran;
-        size_t total = unitTotal(r.workload, tenantOpt[r.tenant]);
-        r.firstStep = std::min(r.firstStep + jr.sliceSteps, total);
-        noteDepth();
-        requeueAdmitted(r);
-        stats.maxQueueDepth = std::max(stats.maxQueueDepth, qdepth());
         if (cl.probePending) {
             cl.probePending = false;
             launchProbe(cl.id);
@@ -822,7 +521,7 @@ struct Engine
         size_t total = unitTotal(r.workload, tenantOpt[r.tenant]);
         r.firstStep = std::min(r.firstStep + done, total);
         if (r.failovers >= kFailoverBudget ||
-            !servable(r.workload)) {
+            !disc->servable(r.workload)) {
             shedAdmitted(r);
             return;
         }
@@ -832,9 +531,7 @@ struct Engine
         stats.recoveredSteps += done;
         if (r.firstStep < total)
             ++stats.replayedSteps; // the interrupted step re-runs
-        noteDepth();
-        requeueAdmitted(r);
-        stats.maxQueueDepth = std::max(stats.maxQueueDepth, qdepth());
+        enqueue(r);
     }
 
     void
@@ -860,36 +557,20 @@ struct Engine
                         !jr.out.failedCards.empty();
         if (health.recordOutcome(cl.id, jr.out.ok, strained, now))
             scheduleBreakerProbe(cl.id);
-        if (cakeOn)
-            executedTicks += jr.out.span * jr.weight;
+        disc->finished(jr, now);
         if (jr.out.ok) {
             ++g.completed;
             ++cl.completed;
             ++stats.completed;
             ++tenant(jr.req).completed;
             stats.latency.add(now - jr.req.arrival);
-            if (cakeOn) {
-                // Under preemption `dispatched` is per-slice: queue
-                // wait is to the FIRST dispatch, service is the sum
-                // of every slice actually executed.
-                stats.queueWait.add(jr.req.firstDispatch -
-                                    jr.req.arrival);
-                stats.service.add(jr.req.executed + jr.out.span);
-            } else {
-                stats.queueWait.add(jr.req.dispatched - jr.req.arrival);
-                stats.service.add(now - jr.req.dispatched);
-            }
             respawnClosed(jr.req);
         } else {
             // Terminal job failure: conserve the steps this attempt
             // finished and fail the request over to another route.
             failoverOrShed(jr.req, jr.out.stepEnds.size());
         }
-        if (cl.probePending) {
-            cl.probePending = false;
-            launchProbe(cl.id);
-        }
-        dispatchIdle();
+        afterRelease(cl);
     }
 
     /** Card-granularity kill event (federation-global index). */
@@ -951,19 +632,10 @@ struct Engine
             Tick lastEnd = k ? jr.out.stepEnds[k - 1] : jr.start;
             stats.recoveryPenalty += now - lastEnd;
             cl.fleet.groups()[jr.group].busyTicks += now - jr.start;
-            if (cakeOn) {
-                // Settle the dispatch's charge: the ticks it ran are
-                // executed, the unrun tail refunds (the failover's
-                // re-dispatch recharges the remainder).
-                Tick ran = now - jr.start;
-                executedTicks += ran * jr.weight;
-                ledger->refund(jr.req.tenant, jr.out.span - ran,
-                               jr.weight);
-                jr.req.executed += ran;
-            }
+            disc->stopped(jr, now - jr.start);
             failoverOrShed(jr.req, k);
         }
-        flushUnservable();
+        disc->flushUnservable();
         dispatchIdle();
     }
 
@@ -1031,16 +703,18 @@ struct Engine
         ++stats.canaryProbes;
         ++cl.canaries;
         pick->busy = true;
-        // Cheap canary: the first step of the group's own workload.
-        InferenceResult res = runner.runJob(models[pick->workload],
-                                            pick->cards, now, cl.faults,
-                                            retry, 0, 1);
+        // Cheap canary: the first unit of the group's own workload at
+        // Safe.  It always executes: a memoized replay would observe
+        // nothing about the cluster.
+        JobOutcome res = runWindow(
+            cl, planOf(pick->workload, OptLevel::Safe, pick->cards),
+            pick->cards, 0, 1, /*memo=*/false);
         uint64_t id = nextToken++;
         ProbeRecord& pr = probes[id];
         pr.cluster = c;
         pr.group = pick->id;
-        pr.span = res.total.makespan;
-        pr.ok = res.ok();
+        pr.span = res.span;
+        pr.ok = res.ok;
         eq.schedule(now + pr.span, [this, id] { onProbeDone(id); });
     }
 
@@ -1067,7 +741,7 @@ struct Engine
         } else {
             // Probe budget exhausted: written off as dead.  Queued
             // work whose last route this was sheds now.
-            flushUnservable();
+            disc->flushUnservable();
         }
         if (cl.probePending) {
             cl.probePending = false;
@@ -1080,12 +754,10 @@ struct Engine
     {
         StallReport rep;
         rep.tick = eq.now();
-        rep.queuedRequests = qdepth();
-        for (size_t wl = 0; wl < wlNames.size(); ++wl) {
-            size_t d = cakeOn ? crq->depthFor(wl) : queue.depthFor(wl);
-            if (d)
+        rep.queuedRequests = disc->depth();
+        for (size_t wl = 0; wl < wlNames.size(); ++wl)
+            if (size_t d = disc->depthFor(wl))
                 rep.depths.push_back({wlNames[wl], d});
-        }
         for (const auto& cl : clusters) {
             StallReport::ClusterLine line;
             line.cluster = cl.id;
@@ -1096,8 +768,7 @@ struct Engine
             }
             rep.clusters.push_back(line);
         }
-        if (const Request* o = cakeOn ? crq->oldest()
-                                      : queue.oldest()) {
+        if (const Request* o = disc->oldest()) {
             rep.oldestRequestId = o->id;
             rep.oldestTenant = serve.tenants[o->tenant].name;
             rep.oldestAge = rep.tick - o->arrival;
@@ -1129,19 +800,18 @@ struct Engine
         // requests are still queued — every route is quarantined (with
         // probing disabled) or gone.  Report and shed rather than
         // wedge; no respawn (the run is over).
-        if (qdepth() > 0) {
+        if (disc->depth() > 0) {
             StallReport rep = buildStallReport();
             stats.stalled = true;
             stats.stallReport = rep.describe();
             noteDepth();
-            for (const auto& r :
-                 cakeOn ? crq->drainAll() : queue.drainAll())
+            for (const auto& r : disc->drainAll())
                 shedAdmitted(r, /*respawn=*/false);
         }
 
         stats.horizon = std::max(serve.durationTicks(), lastActivity);
         if (stats.horizon > lastDepthTick)
-            depthAcc += static_cast<double>(qdepth()) *
+            depthAcc += static_cast<double>(disc->depth()) *
                         static_cast<double>(stats.horizon -
                                             lastDepthTick);
         stats.meanQueueDepth =
@@ -1154,19 +824,9 @@ struct Engine
         stats.progCacheMisses = pc.misses - progBase.misses;
         stats.progCacheEvictions = pc.evictions - progBase.evictions;
         stats.progCacheEntries = pc.entries;
-        if (cakeOn) {
-            stats.demotions = ledger->demotions();
-            stats.promotions = ledger->promotions();
-            stats.chargedTicks = ledger->chargedTicks();
-            stats.refundedTicks = ledger->refundedTicks();
-            stats.executedTicks = executedTicks;
-            stats.jobCacheHits = jobCache.hits();
-            stats.jobCacheMisses = jobCache.misses();
-            for (size_t t = 0; t < stats.tenants.size(); ++t) {
-                stats.tenants[t].deficitTicks = ledger->deficit(t);
-                stats.tenants[t].demotions = ledger->demotionsOf(t);
-            }
-        }
+        stats.jobCacheHits = jobCache.hits();
+        stats.jobCacheMisses = jobCache.misses();
+        disc->report(stats);
         for (const auto& cl : clusters) {
             for (const auto& g : cl.fleet.groups()) {
                 GroupStats gs;
@@ -1193,6 +853,423 @@ struct Engine
         return std::move(stats);
     }
 };
+
+/**
+ * `sched=fifo`: one federation-wide AdmissionQueue (priority tier,
+ * least-served tenant, then arrival order); an idle group only takes
+ * requests of its own workload class.  Queue wait runs to the last
+ * dispatch, service from it to completion.
+ */
+class FifoDiscipline final : public Discipline
+{
+  public:
+    explicit FifoDiscipline(Engine& e)
+        : e_(e), q_(e.serve.queueCapacity), served_(e.serve.tenants.size())
+    {
+    }
+
+    size_t depth() const override { return q_.depth(); }
+    size_t depthFor(size_t wl) const override { return q_.depthFor(wl); }
+    const Request* oldest() const override { return q_.oldest(); }
+    bool full() const override { return q_.full(); }
+    std::vector<Request> drainAll() override { return q_.drainAll(); }
+    /** New admissions were already gated on full(), so both kinds
+     *  take the uncapped requeue. */
+    void push(const Request& r) override { q_.requeue(r); }
+
+    /** A class needs a native group on a cluster that is (or may heal
+     *  back to) routable. */
+    bool
+    servable(size_t wl) const override
+    {
+        for (const auto& cl : e_.clusters)
+            if (e_.clusterAlive(cl) && cl.fleet.servable(wl))
+                return true;
+        return false;
+    }
+
+    void
+    flushUnservable() override
+    {
+        for (size_t wl = 0; wl < e_.wlNames.size(); ++wl)
+            if (q_.depthFor(wl) && !servable(wl))
+                shedClass(wl);
+    }
+
+    void
+    cardLost(size_t wl) override
+    {
+        if (!servable(wl))
+            shedClass(wl);
+    }
+
+    std::optional<Request>
+    next(const ClusterRt&, const ServeGroup& g) override
+    {
+        return q_.popFor(g.workload, served_);
+    }
+
+    /** Deficit charge: spillover traffic counts double in the
+     *  least-served fairness ledger, so a tenant riding failover
+     *  capacity loses dequeue ties to native tenants. */
+    void
+    started(uint64_t, JobRecord& jr, bool) override
+    {
+        served_[jr.req.tenant] += jr.weight;
+    }
+
+    void
+    finished(const JobRecord& jr, Tick now) override
+    {
+        if (!jr.out.ok)
+            return;
+        e_.stats.queueWait.add(jr.req.dispatched - jr.req.arrival);
+        e_.stats.service.add(now - jr.req.dispatched);
+    }
+
+  private:
+    void
+    shedClass(size_t wl)
+    {
+        e_.noteDepth();
+        for (const auto& r : q_.drainWorkload(wl))
+            e_.shedAdmitted(r);
+    }
+
+    Engine& e_;
+    AdmissionQueue q_;
+    /** Dispatches per tenant, spillover counted double. */
+    std::vector<uint64_t> served_;
+};
+
+/**
+ * `sched=cake` (serve/cake.hh): per-(cluster, group) run-queue shards
+ * ranked by the deficit ledger, work stealing across classes and
+ * clusters, a starvation kick, and step-boundary preemption on
+ * fault-free clusters with the unrun tail refunded.  Queue wait runs
+ * to the first dispatch; service sums every executed slice.
+ */
+class CakeDiscipline final : public Discipline
+{
+  public:
+    explicit CakeDiscipline(Engine& e)
+        : e_(e), groupsPer_(e.clusters.front().fleet.groups().size()),
+          ledger_(e.serve),
+          q_(e.clusters.size() * groupsPer_, e.serve.queueCapacity)
+    {
+    }
+
+    size_t depth() const override { return q_.depth(); }
+    size_t depthFor(size_t wl) const override { return q_.depthFor(wl); }
+    const Request* oldest() const override { return q_.oldest(); }
+    bool full() const override { return q_.full(); }
+    std::vector<Request> drainAll() override { return q_.drainAll(); }
+
+    void
+    push(const Request& r) override
+    {
+        q_.push(pickShard(r), r);
+        minArrivalBound_ = std::min(minArrivalBound_, r.arrival);
+    }
+
+    bool servable(size_t) const override { return anyLiveGroup(); }
+
+    /** Re-route stranded shards first; work sheds only when the whole
+     *  federation has no live group. */
+    void
+    flushUnservable() override
+    {
+        rerouteDeadShards();
+        if (!anyLiveGroup() && q_.depth()) {
+            e_.noteDepth();
+            for (const auto& r : q_.drainAll())
+                e_.shedAdmitted(r);
+        }
+    }
+
+    /** A dissolved group strands its shard; its work re-routes (or
+     *  sheds, if the federation has no live group left). */
+    void cardLost(size_t) override { rerouteDeadShards(); }
+
+    void beginRound() override { markKicks(); }
+
+    /** Pop the best-ranked request of the group's own shard, else
+     *  steal from the deepest shard anywhere in the federation. */
+    std::optional<Request>
+    next(const ClusterRt& cl, const ServeGroup& g) override
+    {
+        size_t s = sid(cl.id, g.id);
+        size_t victim = s;
+        auto r = q_.popBest(s, ledger_);
+        if (!r)
+            r = q_.steal(s, ledger_, &victim);
+        if (!r)
+            return r;
+        if (victim != s) {
+            ++e_.stats.steals;
+            ++e_.tenant(*r).steals;
+            if (victim / groupsPer_ != cl.id)
+                ++e_.stats.stealsCross;
+        }
+        Tick now = e_.eq.now();
+        if (r->executed == 0) {
+            r->firstDispatch = now;
+            e_.stats.maxWaitTicks =
+                std::max(e_.stats.maxWaitTicks, now - r->arrival);
+        } else {
+            ++e_.stats.preemptResumes;
+        }
+        return r;
+    }
+
+    void
+    started(uint64_t id, JobRecord& jr, bool sliceable) override
+    {
+        ledger_.charge(jr.req.tenant, jr.out.span, jr.weight);
+        if (sliceable)
+            armSlice(id, jr.start);
+    }
+
+    /** Settle the dispatch's charge: the ticks it ran are executed,
+     *  the unrun tail refunds (the next dispatch recharges it). */
+    void
+    stopped(JobRecord& jr, Tick ran) override
+    {
+        executedTicks_ += ran * jr.weight;
+        ledger_.refund(jr.req.tenant, jr.out.span - ran, jr.weight);
+        jr.req.executed += ran;
+    }
+
+    void
+    finished(const JobRecord& jr, Tick) override
+    {
+        executedTicks_ += jr.out.span * jr.weight;
+        if (!jr.out.ok)
+            return;
+        e_.stats.queueWait.add(jr.req.firstDispatch - jr.req.arrival);
+        e_.stats.service.add(jr.req.executed + jr.out.span);
+    }
+
+    void
+    report(ServeStats& st) const override
+    {
+        st.demotions = ledger_.demotions();
+        st.promotions = ledger_.promotions();
+        st.chargedTicks = ledger_.chargedTicks();
+        st.refundedTicks = ledger_.refundedTicks();
+        st.executedTicks = executedTicks_;
+        for (size_t t = 0; t < st.tenants.size(); ++t) {
+            st.tenants[t].deficitTicks = ledger_.deficit(t);
+            st.tenants[t].demotions = ledger_.demotionsOf(t);
+        }
+    }
+
+  private:
+    /** Any live group of any alive cluster can run any workload, so a
+     *  class loses its route only when the whole federation has none. */
+    bool
+    anyLiveGroup() const
+    {
+        for (const auto& cl : e_.clusters) {
+            if (!e_.clusterAlive(cl))
+                continue;
+            for (const auto& g : cl.fleet.groups())
+                if (g.live())
+                    return true;
+        }
+        return false;
+    }
+
+    /** Shard id of a (cluster, cluster-local group) pair. */
+    size_t sid(size_t cluster, size_t group) const
+    {
+        return cluster * groupsPer_ + group;
+    }
+
+    size_t shardCount() const { return e_.clusters.size() * groupsPer_; }
+
+    /**
+     * Admission routing: shallowest shard among the live groups that
+     * natively serve `r`'s class, falling back to any live group when
+     * the class has no native group left (cross-class serving).
+     * Returns shardCount() when nothing is routable.
+     */
+    size_t
+    pickShard(const Request& r) const
+    {
+        size_t best = shardCount();
+        size_t bestDepth = 0;
+        for (int pass = 0; pass < 2; ++pass) {
+            for (const auto& cl : e_.clusters) {
+                if (!e_.clusterAlive(cl))
+                    continue;
+                for (const auto& g : cl.fleet.groups()) {
+                    if (!g.live())
+                        continue;
+                    if (pass == 0 && g.workload != r.workload)
+                        continue;
+                    size_t s = sid(cl.id, g.id);
+                    size_t d = q_.shardDepth(s);
+                    if (best == shardCount() || d < bestDepth) {
+                        best = s;
+                        bestDepth = d;
+                    }
+                }
+            }
+            if (best != shardCount())
+                break; // native pass found a home
+        }
+        return best;
+    }
+
+    /** Re-route queued work stranded on the shard of a dissolved
+     *  group or a dead/killed cluster; sheds only when the whole
+     *  federation has no live group left. */
+    void
+    rerouteDeadShards()
+    {
+        for (auto& cl : e_.clusters) {
+            bool clusterOk = e_.clusterAlive(cl);
+            for (auto& g : cl.fleet.groups()) {
+                size_t s = sid(cl.id, g.id);
+                if ((clusterOk && g.live()) || !q_.shardDepth(s))
+                    continue;
+                e_.noteDepth();
+                for (const auto& r : q_.drainShard(s)) {
+                    size_t to = pickShard(r);
+                    if (to == shardCount())
+                        e_.shedAdmitted(r);
+                    else
+                        q_.push(to, r);
+                }
+            }
+        }
+    }
+
+    /** Starvation sweep: mark queued requests older than the kick cap
+     *  so they outrank every tier and deficit at the next dispatch.
+     *  Gated on a lower arrival bound, so runs where work is served
+     *  within its budget never pay for the scan. */
+    void
+    markKicks()
+    {
+        Tick now = e_.eq.now();
+        Tick kick = e_.serve.kickTicks();
+        if (!q_.depth() || minArrivalBound_ > now ||
+            now - minArrivalBound_ < kick)
+            return;
+        minArrivalBound_ =
+            q_.kickStarved(now, kick, [this](const Request& r) {
+                ++e_.stats.kicks;
+                ++e_.tenant(r).kicks;
+            });
+    }
+
+    /** Arm the next slice check of job `id`: the first step boundary
+     *  at least one wait budget past `from` that still leaves a step
+     *  after it.  No-op when no such boundary exists (short jobs run
+     *  whole). */
+    void
+    armSlice(uint64_t id, Tick from)
+    {
+        JobRecord& jr = e_.inflight[id];
+        // Per-tier quantum: hog-prone low tiers can be sliced finer
+        // than latency-tier jobs (spec quanta; legacy = tier-0 wait
+        // budget for everyone).  The AQM-demoted tier is used, so a
+        // demoted hog inherits the deeper tier's (usually shorter)
+        // slice.
+        Tick quantum =
+            e_.serve.quantumTicks(ledger_.effectiveTier(jr.req.tenant));
+        const auto& ends = jr.out.stepEnds;
+        for (size_t k = 0; k + 1 < ends.size(); ++k) {
+            if (ends[k] < from + quantum)
+                continue;
+            jr.sliceEnd = ends[k];
+            jr.sliceSteps = k + 1;
+            e_.eq.schedule(ends[k], [this, id] { onSliceCheck(id); });
+            return;
+        }
+        jr.sliceEnd = 0;
+    }
+
+    /** Slice checkpoint: with work queued, preempt here — the group
+     *  frees, the remainder requeues from this step boundary with its
+     *  unrun span refunded; with nothing queued, re-arm one budget
+     *  further out and let the job run. */
+    void
+    onSliceCheck(uint64_t id)
+    {
+        auto it = e_.inflight.find(id);
+        if (it == e_.inflight.end() || it->second.sliceEnd != e_.eq.now())
+            return; // completed, aborted, or stale
+        if (q_.depth() == 0) {
+            armSlice(id, e_.eq.now());
+            return;
+        }
+        JobRecord jr = std::move(it->second);
+        e_.inflight.erase(it);
+        Tick now = e_.eq.now();
+        e_.lastActivity = std::max(e_.lastActivity, now);
+        ClusterRt& cl = e_.clusters[jr.cluster];
+        ServeGroup& g = cl.fleet.groups()[jr.group];
+        g.busy = false;
+        Tick ran = now - jr.start;
+        g.busyTicks += ran;
+        stopped(jr, ran);
+        ++e_.stats.preemptions;
+        ++e_.tenant(jr.req).preemptions;
+
+        Request r = jr.req;
+        size_t total = e_.unitTotal(r.workload, e_.tenantOpt[r.tenant]);
+        r.firstStep = std::min(r.firstStep + jr.sliceSteps, total);
+        e_.enqueue(r);
+        e_.afterRelease(cl);
+    }
+
+    Engine& e_;
+    size_t groupsPer_; // shards per cluster (identical machines)
+    DeficitLedger ledger_;
+    CakeQueue q_;
+    /** Lower bound on the earliest queued arrival: the starvation
+     *  sweep runs only once `now` passes bound + kick. */
+    Tick minArrivalBound_ = ~Tick{0};
+    /** Ticks actually executed, weighted like the ledger's charges:
+     *  chargedTicks == refundedTicks + executedTicks, mod 2^64. */
+    uint64_t executedTicks_ = 0;
+};
+
+Engine::Engine(const PrototypeSpec& spec_, const ServeSpec& serve_,
+               const FaultPlan& faults_, const RetryPolicy& retry_,
+               const HealthPolicy& health_)
+    : spec(spec_), serve(serve_), faults(faults_), retry(retry_),
+      runner(spec_), wlNames(serve_.workloadTable()), gen(serve_, wlNames),
+      health(serve_.clusters ? serve_.clusters : 1, health_),
+      cardsPer(spec_.cluster.totalCards())
+{
+    models.reserve(wlNames.size());
+    // Unified resolution: hand-built step registry first, then the
+    // declarative model registry — serving tenants can name a
+    // graph-compiled model ("mlp3") like any legacy workload.
+    for (const auto& n : wlNames)
+        models.push_back(resolveWorkloadModel(n));
+    size_t n = serve.clusters ? serve.clusters : 1;
+    clusters.reserve(n);
+    for (size_t c = 0; c < n; ++c)
+        clusters.emplace_back(c, spec, serve, wlNames,
+                              clusterLocalPlan(faults, c, cardsPer));
+    stats.sched = schedPolicyName(serve.sched);
+    stats.tenants.resize(serve.tenants.size());
+    for (size_t i = 0; i < serve.tenants.size(); ++i)
+        stats.tenants[i].name = serve.tenants[i].name;
+    tenantOpt.reserve(serve.tenants.size());
+    for (const auto& t : serve.tenants)
+        tenantOpt.push_back(t.opt);
+    progBase = ProgramCache::global().stats();
+    if (serve.sched == SchedPolicy::Cake)
+        disc = std::make_unique<CakeDiscipline>(*this);
+    else
+        disc = std::make_unique<FifoDiscipline>(*this);
+}
 
 } // namespace
 

@@ -1,30 +1,55 @@
 /**
  * @file
- * Federated fault domains: several clusters behind one health-gated
- * routing tier, extending the paper's Procedure-2 host scheduler one
- * level up (the ROADMAP's "millions of users" shape).
+ * The serving engine: a multi-tenant discrete-event simulation that
+ * turns one-shot inference into sustained throughput on a shared
+ * virtual clock, over a federation of fault domains — the paper's
+ * Procedure-2 host scheduler extended one level up (the ROADMAP's
+ * "millions of users" shape).  A single machine is the federation
+ * with `clusters=1`.
+ *
+ * Pipeline per request: workload generator -> bounded admission queue
+ * (shed on full) -> the queue discipline picks the next request of an
+ * idle card group -> InferenceRunner::runJob on the group's cards ->
+ * ServeStats roll-up (throughput, utilization, p50/p95/p99 latency).
  *
  * A Federation owns N identical clusters (the machine replicated
  * `ServeSpec::clusters` times) on one shared virtual clock.  Every
  * cluster gets its own fleet partition (same group plan) and cards are
  * numbered federation-globally: cluster c owns [c*P, (c+1)*P).
  *
- * Routing tier: admitted requests wait in one federation-wide
- * admission queue; idle groups of *routable* clusters (healthy first,
- * then degraded — see serve/health.hh) pull from it.  Quarantined and
- * dead clusters receive nothing, so capacity loss shows up as
- * spillover onto the survivors, and failover traffic is
+ * Clock composition: the serve clock is absolute virtual time.  Jobs
+ * dispatched at t0 run with the cluster executor's time origin set to
+ * t0, so FaultPlan::cardFailAt ticks are absolute serve-clock times
+ * and a kill lands in whatever job (or idle period) covers it.  Jobs
+ * on a cluster with any local fault injection execute for real;
+ * fault-free clusters replay memoized unit windows from the JobCache
+ * (serve/jobcache.hh), span-exact.  Executed jobs resolve their
+ * compiled Programs through the shared ProgramCache.  Both keep
+ * million-request simulations fast and bit-deterministic.
+ *
+ * Card faults: transient faults (drop/corrupt/degrade) apply inside
+ * every job; permanent card kills are consumed by the job in flight
+ * (degraded completion via survivor re-dispatch) or by the serve loop
+ * when the card is idle.  Either way the fleet partition repairs
+ * itself: groups shrink in place until minCards, then dissolve and
+ * donate survivors to a sibling; work that lost its last route sheds
+ * with a structured no-capacity reason.
+ *
+ * Routing tier: idle groups of *routable* clusters (healthy first,
+ * then degraded — see serve/health.hh) pull admitted work.
+ * Quarantined and dead clusters receive nothing, so capacity loss
+ * shows up as spillover onto the survivors, and failover traffic is
  * deficit-charged at dispatch (an extra least-served-fairness count
  * against its tenant) so it cannot starve native tenants.
  *
  * Cluster-granularity faults (FaultPlan):
  *  - cluster_kill (`ckill=C@S`): the cluster dies at tick S.  Its
  *    cards are gone, its in-flight jobs abort, and each aborted job is
- *    re-queued to resume *from its last completed step boundary* on a
- *    survivor via InferenceRunner::runJob(first_step, ...) — the
+ *    re-queued to resume *from its last completed unit boundary* on a
+ *    survivor via InferenceRunner::runJob(plan, ..., first_unit) — the
  *    checkpointed-recovery path.  The accounting split proves work
  *    conservation: `recoveredSteps` counts boundaries conserved,
- *    `replayedSteps` the at-most-one partially-executed step per
+ *    `replayedSteps` the at-most-one partially-executed unit per
  *    in-flight job that must re-run.
  *  - cluster_partition (`cpart=C@S:W`): the cluster is unreachable for
  *    new work during [S, S+W).  Work already on it keeps running; at
@@ -43,12 +68,15 @@
  * identity admitted == completed + shedAfterAdmit exact.
  *
  * Scheduling policy (`sched=fifo|cake`, serve/cake.hh, DESIGN.md
- * §14): fifo keeps the legacy admission order above with bit-stable
- * stats hashes; cake swaps in per-tenant deficit accounting,
- * step-boundary preemption (fault-free clusters only, unrun tail
- * deficit-refunded), wait-budget AQM tier demotion plus a starvation
- * kick, and per-(cluster, group) run-queue shards with work stealing
- * across groups and clusters.
+ * §14): one dispatch loop and one job-start body serve both; the
+ * policy only selects the queue discipline.  Fifo keeps one
+ * federation-wide AdmissionQueue (priority, tenant fairness, arrival
+ * order; a group takes only its own class) with bit-stable stats
+ * hashes.  Cake swaps in per-tenant deficit accounting, step-boundary
+ * preemption (fault-free clusters only, unrun tail deficit-refunded),
+ * wait-budget AQM tier demotion plus a starvation kick, and
+ * per-(cluster, group) run-queue shards with work stealing across
+ * groups and clusters.
  */
 
 #ifndef HYDRA_SERVE_FEDERATION_HH

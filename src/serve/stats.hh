@@ -143,7 +143,8 @@ struct ServeStats
     uint64_t executedTicks = 0;
     /** Longest any completed request waited before first dispatch. */
     Tick maxWaitTicks = 0;
-    /** Fault-free job-result cache effectiveness. */
+    /** Fault-free job-result cache effectiveness.  Counted under
+     *  both policies; hash() folds them only for non-fifo runs. */
     uint64_t jobCacheHits = 0;
     uint64_t jobCacheMisses = 0;
 

@@ -17,6 +17,7 @@
 
 #include "baselines/prototypes.hh"
 #include "common/rng.hh"
+#include "sched/execplan.hh"
 #include "sched/progcache.hh"
 #include "sync/executor.hh"
 
@@ -230,7 +231,8 @@ TEST(ProgramCacheTest, RunAndRunJobShareEntries)
     // runJob compiles nothing new.
     CardGroup all =
         CardGroup::contiguous(0, spec.cluster.totalCards());
-    InferenceResult res = runner.runJob(wl, all, 0);
+    InferenceResult res =
+        runner.runJob(*runner.planForJob(wl, all), all, 0);
     ASSERT_TRUE(res.ok());
     ProgramCache::Stats after_job = cache.stats();
     EXPECT_EQ(after_job.misses, after_run.misses);

@@ -22,7 +22,7 @@
 #include "sched/graph/modelspec.hh"
 #include "sched/graph/netcompile.hh"
 #include "sched/progcache.hh"
-#include "serve/sim.hh"
+#include "serve/federation.hh"
 
 namespace hydra {
 namespace {
@@ -362,6 +362,16 @@ struct GraphGolden
     uint64_t makespan; // == the hand-built pin in sched_compile_test
 };
 
+/** Compile `graph` for `runner`'s machine through the one compile
+ *  entry point (materialized, ready for runPlan). */
+ExecPlan
+graphPlan(const InferenceRunner& runner, const NetworkGraph& graph,
+          OptLevel level = OptLevel::Safe)
+{
+    return compilePlan(runner.spec(), runner.costModel(),
+                       runner.network(), graph, level);
+}
+
 /** Safe-level graph runs must land on the step-list golden ticks. */
 const GraphGolden kGraphGoldens[] = {
     {"hydra-m", "resnet50", 82584461339718ull},
@@ -378,7 +388,7 @@ TEST(NetCompile, SafeLoweringIsTickIdenticalToStepLists)
         InferenceRunner runner(machineByName(g.machine));
         NetworkGraph graph = modelGraphByName(g.model);
         InferenceResult viaGraph =
-            runner.runGraph(graph, OptLevel::Safe);
+            runner.runPlan(graphPlan(runner, graph, OptLevel::Safe));
         InferenceResult viaSteps = runner.run(workloadByName(g.model));
         ASSERT_TRUE(viaGraph.ok()) << g.machine << "/" << g.model;
         ASSERT_TRUE(viaSteps.ok());
@@ -395,18 +405,22 @@ TEST(NetCompile, NoneLevelMatchesSafeTicks)
 {
     InferenceRunner runner(machineByName("hydra-m"));
     NetworkGraph graph = modelGraphByName("resnet50");
-    EXPECT_EQ(runner.runGraph(graph, OptLevel::None).total.makespan,
-              runner.runGraph(graph, OptLevel::Safe).total.makespan);
+    EXPECT_EQ(
+        runner.runPlan(graphPlan(runner, graph, OptLevel::None))
+            .total.makespan,
+        runner.runPlan(graphPlan(runner, graph, OptLevel::Safe))
+            .total.makespan);
 }
 
 TEST(NetCompile, AggressiveElidesBertBootstrapsAndWins)
 {
     InferenceRunner runner(machineByName("hydra-m"));
     NetworkGraph graph = modelGraphByName("bert");
-    NetOptReport rep;
-    InferenceResult aggressive =
-        runner.runGraph(graph, OptLevel::Aggressive, &rep);
-    InferenceResult safe = runner.runGraph(graph, OptLevel::Safe);
+    ExecPlan plan = graphPlan(runner, graph, OptLevel::Aggressive);
+    const NetOptReport& rep = plan.report;
+    InferenceResult aggressive = runner.runPlan(plan);
+    InferenceResult safe =
+        runner.runPlan(graphPlan(runner, graph, OptLevel::Safe));
     ASSERT_TRUE(aggressive.ok());
     ASSERT_TRUE(safe.ok());
 
@@ -437,10 +451,10 @@ struct NetRig
     {
     }
 
-    CompiledNetwork
+    ExecPlan
     compile(const NetworkGraph& g, OptLevel level)
     {
-        return compileNetwork(spec, cost, *net, g, level);
+        return compilePlan(spec, cost, *net, g, level);
     }
 };
 
@@ -449,32 +463,33 @@ TEST(NetCompile, AggressiveFusesLinearChains)
     // fab-m's host-mediated network cannot overlap transfers with
     // compute, so prefetch stays off and fused units stay visible.
     NetRig rig("fab-m");
-    CompiledNetwork cn =
+    ExecPlan cn =
         rig.compile(modelGraphByName("resnet50"), OptLevel::Aggressive);
     EXPECT_GT(cn.report.fusedSteps, 0u);
     EXPECT_EQ(cn.report.prefetchedBoundaries, 0u);
-    ASSERT_EQ(cn.programs.size(), cn.units.size());
 
     bool anyFused = false;
-    for (const NetUnit& u : cn.units)
+    for (const ExecUnit& u : cn.units) {
+        EXPECT_NE(u.compiled, nullptr) << u.name;
         if (u.kind == NetUnit::Kind::Fused) {
             anyFused = true;
-            EXPECT_GE(u.nodes.size(), 2u);
+            EXPECT_GE(u.steps.size(), 2u);
             EXPECT_NE(u.name.find(".."), std::string::npos);
         }
+    }
     EXPECT_TRUE(anyFused);
 }
 
 TEST(NetCompile, AggressivePrefetchesOnOverlappingNetworks)
 {
     NetRig rig("hydra-m"); // switched: transfers overlap compute
-    CompiledNetwork cn =
+    ExecPlan cn =
         rig.compile(modelGraphByName("resnet50"), OptLevel::Aggressive);
     EXPECT_GT(cn.report.prefetchedBoundaries, 0u);
     bool anyPrefetch = false;
-    for (const NetUnit& u : cn.units) {
+    for (const ExecUnit& u : cn.units) {
         anyPrefetch |= u.kind == NetUnit::Kind::Prefetch;
-        EXPECT_LE(u.nodes.size(), kPrefetchWindow * 4);
+        EXPECT_LE(u.steps.size(), kPrefetchWindow * 4);
     }
     EXPECT_TRUE(anyPrefetch);
 }
@@ -487,11 +502,12 @@ TEST(NetCompile, BootPlanMergesAdjacentAndElidesRedundant)
     NetworkGraph g = parseModelGraph(
         "model=m,limbs=24,pcmm=q:64:1,boot=b1:4,boot=b2:4,fc=out:64");
     NetRig rig("hydra-m");
-    CompiledNetwork cn = rig.compile(g, OptLevel::Aggressive);
+    ExecPlan cn = rig.compile(g, OptLevel::Aggressive);
     EXPECT_EQ(cn.report.bootsMerged, 1u);
     EXPECT_EQ(cn.report.bootsElided, 1u);
-    for (const LayerNode& n : cn.graph.nodes)
-        EXPECT_NE(n.step.kind, ProcKind::Bootstrap) << n.step.name;
+    for (const ExecUnit& u : cn.units)
+        for (const Step& st : u.steps)
+            EXPECT_NE(st.kind, ProcKind::Bootstrap) << st.name;
 }
 
 TEST(NetCompile, BootPlanKeepsLoadBearingRefreshAndRelevels)
@@ -507,23 +523,23 @@ TEST(NetCompile, BootPlanKeepsLoadBearingRefreshAndRelevels)
         "nonlin=t1:8,nonlin=t2:8,nonlin=t3:8,nonlin=t4:8,nonlin=t5:8,"
         "fc=out:16");
     NetRig rig("hydra-m");
-    CompiledNetwork cn = rig.compile(g, OptLevel::Aggressive);
+    ExecPlan cn = rig.compile(g, OptLevel::Aggressive);
     EXPECT_EQ(cn.report.bootsMerged, 1u);
     EXPECT_EQ(cn.report.bootsElided, 0u);
     EXPECT_GE(cn.report.relevelled, 2u);
 
     size_t boots = 0;
-    for (const LayerNode& n : cn.graph.nodes)
-        if (n.step.kind == ProcKind::Bootstrap) {
-            ++boots;
-            EXPECT_EQ(n.step.parallelism, 8u); // 4 + 4 combined
-        }
+    for (const ExecUnit& u : cn.units)
+        for (const Step& st : u.steps)
+            if (st.kind == ProcKind::Bootstrap) {
+                ++boots;
+                EXPECT_EQ(st.parallelism, 8u); // 4 + 4 combined
+            }
     EXPECT_EQ(boots, 1u);
 
     // The rewritten graph still executes end to end.
     InferenceRunner runner(machineByName("hydra-m"));
-    NetOptReport rep;
-    EXPECT_TRUE(runner.runGraph(g, OptLevel::Aggressive, &rep).ok());
+    EXPECT_TRUE(runner.runPlan(cn).ok());
 }
 
 TEST(NetCompile, InvalidGraphSurfacesStructuredError)
@@ -534,22 +550,22 @@ TEST(NetCompile, InvalidGraphSurfacesStructuredError)
     NetworkGraph g = NetworkGraph::fromModel(m);
     g.edges.push_back({1, 0, 32}); // cycle
 
-    InferenceRunner runner(machineByName("hydra-m"));
-    InferenceResult res = runner.runGraph(g);
-    EXPECT_FALSE(res.ok());
-    EXPECT_EQ(res.error.kind, RunError::Kind::InvalidProgram);
-    EXPECT_NE(res.error.message.find("runGraph:"), std::string::npos);
+    // Callers validate before compiling: the cycle surfaces as a named
+    // SpecError instead of a fatal inside the compiler.
+    SpecError err;
+    EXPECT_FALSE(g.validate(err));
+    EXPECT_NE(err.describe().find("cycle"), std::string::npos)
+        << err.describe();
 }
 
 TEST(NetCompile, DeclarativeModelServesAsTenant)
 {
     // Serving tenants resolve through resolveWorkloadModel, so a
     // declarative-only registry model is a legal workload class.
-    ServeSim sim(machineByName("hydra-m"),
-                 ServeSpec::parse(
-                     "seed=3,duration=120,tenant=enc:open:mlp3:0.05"),
-                 FaultPlan::parse(""));
-    ServeStats st = sim.run();
+    Federation fed(machineByName("hydra-m"),
+                   ServeSpec::parse(
+                       "seed=3,duration=120,tenant=enc:open:mlp3:0.05"));
+    ServeStats st = fed.run();
     EXPECT_GT(st.completed, 0u);
     EXPECT_EQ(st.offered, st.completed + st.shed);
 }
@@ -633,9 +649,10 @@ TEST(ExecPlanPath, DagSafePlansAreTickIdenticalAcrossReruns)
     EXPECT_EQ(ra.total.fingerprint(), rb.total.fingerprint());
     EXPECT_EQ(ra.stepEnds, rb.stepEnds);
 
-    // The runGraph driver lands on the same ticks through the same
-    // plan — DAG inputs flow through the one unified path.
-    EXPECT_EQ(runner.runGraph(g).total.makespan, ra.total.makespan);
+    // A plan compiled against the runner's own machine lands on the
+    // same ticks — DAG inputs flow through the one unified path.
+    EXPECT_EQ(runner.runPlan(graphPlan(runner, g)).total.makespan,
+              ra.total.makespan);
 }
 
 TEST(ExecPlanPath, SafePlanRunsBitIdenticalToLegacyRun)
@@ -682,9 +699,8 @@ TEST(ExecPlanPath, AggressivePlanMatchesRunGraphAndFusesUnits)
               plan->size());
 
     InferenceResult viaPlan = runner.runPlan(*plan);
-    InferenceResult viaGraph =
-        runner.runGraph(NetworkGraph::fromModel(wl),
-                        OptLevel::Aggressive);
+    InferenceResult viaGraph = runner.runPlan(graphPlan(
+        runner, NetworkGraph::fromModel(wl), OptLevel::Aggressive));
     ASSERT_TRUE(viaPlan.ok());
     EXPECT_EQ(viaPlan.total.makespan, viaGraph.total.makespan);
     EXPECT_EQ(viaPlan.stepEnds.size(), plan->size());
@@ -701,21 +717,24 @@ TEST(ExecPlanPath, SkeletonJobPlanMatchesLegacyRunJob)
     for (const ExecUnit& u : plan->units)
         EXPECT_EQ(u.compiled, nullptr); // skeleton: keys only
 
+    // The reference: the group's sub-machine run as a whole machine
+    // through a materialized plan (fault-free jobs are start-invariant).
+    InferenceRunner sub(groupSubSpec(spec, group));
+    std::shared_ptr<const ExecPlan> whole = sub.planFor(wl);
     const Tick start = secondsToTicks(3.0);
     InferenceResult viaPlan = runner.runJob(*plan, group, start);
-    InferenceResult legacy = runner.runJob(wl, group, start);
+    InferenceResult ref = sub.runPlan(*whole);
     ASSERT_TRUE(viaPlan.ok()) << viaPlan.error.message;
-    EXPECT_EQ(viaPlan.total.makespan, legacy.total.makespan);
-    EXPECT_EQ(viaPlan.stepEnds, legacy.stepEnds);
+    EXPECT_EQ(viaPlan.total.makespan, ref.total.makespan);
+    EXPECT_EQ(viaPlan.stepEnds, ref.stepEnds);
 
-    // Resumable windows index plan units; a mid-plan window matches
-    // the legacy first_step/num_steps slicing.
+    // Resumable windows index plan units; a mid-plan job window
+    // matches the same window of the whole-machine plan.
     InferenceResult planWin = runner.runJob(*plan, group, start, {}, {},
                                             2, 3);
-    InferenceResult legacyWin = runner.runJob(wl, group, start, {}, {},
-                                              2, 3);
-    EXPECT_EQ(planWin.total.makespan, legacyWin.total.makespan);
-    EXPECT_EQ(planWin.stepEnds, legacyWin.stepEnds);
+    InferenceResult refWin = sub.runPlan(*whole, 2, 3);
+    EXPECT_EQ(planWin.total.makespan, refWin.total.makespan);
+    EXPECT_EQ(planWin.stepEnds, refWin.stepEnds);
     ASSERT_EQ(planWin.steps.size(), 3u);
 }
 

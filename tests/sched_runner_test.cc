@@ -10,6 +10,7 @@
 #include <algorithm>
 
 #include "baselines/prototypes.hh"
+#include "sched/execplan.hh"
 
 namespace hydra {
 namespace {
@@ -175,8 +176,8 @@ TEST(RunnerJobs, AlignedGroupMatchesWholeMachine)
     InferenceRunner large{hydraLSpec()};
     CardGroup slice = CardGroup::contiguous(8, 8);
     ASSERT_TRUE(slice.alignedTo(hydraLSpec().cluster));
-    InferenceResult job =
-        large.runJob(wl, slice, secondsToTicks(3.0));
+    InferenceResult job = large.runJob(*large.planForJob(wl, slice),
+                                       slice, secondsToTicks(3.0));
     ASSERT_TRUE(job.ok()) << job.error.message;
     EXPECT_EQ(job.total.makespan, whole.total.makespan);
 }
@@ -186,14 +187,15 @@ TEST(RunnerJobs, ResumeComposesWithFullRun)
     InferenceRunner runner{hydraMSpec()};
     WorkloadModel wl = makeResNet18();
     CardGroup all = CardGroup::contiguous(0, 8);
+    std::shared_ptr<const ExecPlan> plan = runner.planForJob(wl, all);
 
-    InferenceResult full = runner.runJob(wl, all, 0);
+    InferenceResult full = runner.runJob(*plan, all, 0);
     ASSERT_TRUE(full.ok());
 
     const size_t cut = wl.steps.size() / 2;
-    InferenceResult head = runner.runJob(wl, all, 0, {}, {}, 0, cut);
+    InferenceResult head = runner.runJob(*plan, all, 0, {}, {}, 0, cut);
     ASSERT_TRUE(head.ok());
-    InferenceResult tail = runner.runJob(wl, all, head.total.makespan,
+    InferenceResult tail = runner.runJob(*plan, all, head.total.makespan,
                                          {}, {}, cut,
                                          wl.steps.size() - cut);
     ASSERT_TRUE(tail.ok());
@@ -207,23 +209,24 @@ TEST(RunnerJobs, ResumeComposesWithFullRun)
 TEST(RunnerJobs, PreemptedResumeFingerprintIsExact)
 {
     // The cake scheduler's step-boundary preemption re-dispatches the
-    // tail of a sliced job via runJob(first_step, num_steps); for the
+    // tail of a sliced job via runJob(first_unit, num_units); for the
     // slicing to be invisible, head + tail must reproduce the whole
     // run bit for bit — not just the makespan, but every
     // execution-visible RunStats field, at every possible split point.
     InferenceRunner runner{hydraMSpec()};
     WorkloadModel wl = makeResNet18();
     CardGroup all = CardGroup::contiguous(0, 8);
+    std::shared_ptr<const ExecPlan> plan = runner.planForJob(wl, all);
 
-    InferenceResult full = runner.runJob(wl, all, 0);
+    InferenceResult full = runner.runJob(*plan, all, 0);
     ASSERT_TRUE(full.ok());
 
     for (size_t cut = 1; cut < wl.steps.size(); ++cut) {
         InferenceResult head =
-            runner.runJob(wl, all, 0, {}, {}, 0, cut);
+            runner.runJob(*plan, all, 0, {}, {}, 0, cut);
         ASSERT_TRUE(head.ok()) << "cut " << cut;
         InferenceResult tail = runner.runJob(
-            wl, all, head.total.makespan, {}, {}, cut,
+            *plan, all, head.total.makespan, {}, {}, cut,
             wl.steps.size() - cut);
         ASSERT_TRUE(tail.ok()) << "cut " << cut;
 
@@ -252,14 +255,15 @@ TEST(RunnerJobs, RaggedGroupDegradesAndSurvives)
     WorkloadModel wl = makeResNet18();
     CardGroup group;
     group.cards = {1, 4, 6};
+    std::shared_ptr<const ExecPlan> job = runner.planForJob(wl, group);
 
-    InferenceResult clean = runner.runJob(wl, group, 0);
+    InferenceResult clean = runner.runJob(*job, group, 0);
     ASSERT_TRUE(clean.ok());
 
     FaultPlan plan;
     const Tick start = secondsToTicks(10.0);
     plan.cardFailAt[4] = start + clean.total.makespan / 2;
-    InferenceResult hurt = runner.runJob(wl, group, start, plan);
+    InferenceResult hurt = runner.runJob(*job, group, start, plan);
     ASSERT_TRUE(hurt.ok()) << hurt.error.message;
     ASSERT_EQ(hurt.failedCards.size(), 1u);
     EXPECT_EQ(hurt.failedCards[0], 4u);

@@ -12,7 +12,6 @@
 #include "baselines/prototypes.hh"
 #include "serve/cake.hh"
 #include "serve/federation.hh"
-#include "serve/sim.hh"
 
 namespace hydra {
 namespace {

@@ -1,6 +1,8 @@
 /**
  * @file
- * Chaos tests for the federated serving layer: cluster kills with
+ * Tests for the serving engine.  Single-cluster serving: deterministic
+ * replay, overload shedding, fault-triggered repartitioning, request
+ * accounting and compile reuse.  Federated chaos: cluster kills with
  * checkpointed job recovery, partition healing via canary probes,
  * error-rate quarantine, the no-progress watchdog, and the accounting
  * + determinism invariants that must survive all of it.
@@ -11,8 +13,8 @@
 #include "baselines/prototypes.hh"
 #include "common/parallel.hh"
 #include "sched/execplan.hh"
+#include "sched/progcache.hh"
 #include "serve/federation.hh"
-#include "serve/sim.hh"
 #include "workloads/model.hh"
 
 namespace hydra {
@@ -61,19 +63,173 @@ const char* kFedPool =
     "seed=9,duration=40,clusters=4,group=resnet18:8,"
     "tenant=pool:closed:resnet18:8:0";
 
-TEST(Federation, SingleClusterMatchesServeSim)
+// ---------------------------------------------------------------------
+// Single-cluster serving (clusters=1, the default)
+// ---------------------------------------------------------------------
+
+const char* kMixed =
+    "seed=5,duration=120,tenant=vision:open:resnet18:0.05,"
+    "tenant=nlp:open:bert:0.005";
+
+TEST(ServeSim, SameSeedIdenticalStats)
+{
+    ServeStats a = runFed("hydra-m", kMixed);
+    ServeStats b = runFed("hydra-m", kMixed);
+    ASSERT_GT(a.completed, 0u);
+    EXPECT_EQ(a.hash(), b.hash());
+    EXPECT_EQ(a.horizon, b.horizon);
+    expectAccounted(a);
+    ASSERT_EQ(a.clusters.size(), 1u);
+    EXPECT_EQ(a.clusters[0].health, "healthy");
+    EXPECT_FALSE(a.stalled);
+
+    ServeStats c = runFed(
+        "hydra-m",
+        "seed=6,duration=120,tenant=vision:open:resnet18:0.05,"
+        "tenant=nlp:open:bert:0.005");
+    EXPECT_NE(a.hash(), c.hash());
+}
+
+TEST(ServeSim, JobsReuseCompiledPrograms)
+{
+    ProgramCache& cache = ProgramCache::global();
+    cache.clear();
+    cache.resetStats();
+    // A straggler puts fault injection on the cluster, so every job
+    // executes for real; identical (workload, group) jobs still share
+    // compiled Programs: after the first job of each class every step
+    // lookup hits.
+    ServeStats st = runFed("hydra-m", kMixed, "straggle=0:1.5");
+    ASSERT_GT(st.completed, 1u);
+    EXPECT_EQ(st.jobCacheHits + st.jobCacheMisses, 0u);
+    ProgramCache::Stats cs = cache.stats();
+    EXPECT_GT(cs.hits, 0u);
+    EXPECT_GT(cs.hitRate(), 0.5);
+    EXPECT_LT(cs.entries, cs.hits + cs.misses);
+
+    // Fault-free, the same fifo run replays memoized windows instead.
+    EXPECT_GT(runFed("hydra-m", kMixed).jobCacheHits, 0u);
+}
+
+TEST(ServeSim, ClosedLoopSustainsLoad)
+{
+    ServeStats st = runFed(
+        "hydra-m",
+        "seed=2,duration=100,tenant=pool:closed:resnet18:2:1");
+    // Two clients on a ~13s service: each finishes several requests.
+    EXPECT_GE(st.completed, 8u);
+    EXPECT_EQ(st.shed, 0u);
+    expectAccounted(st);
+}
+
+TEST(ServeSim, QueueOverflowSheds)
+{
+    // One slow 8-card BERT group (~60 s/job), queue bound 2, and an
+    // aggressive open stream: most arrivals must shed on a full queue,
+    // and everything admitted still drains.
+    ServeStats st = runFed(
+        "hydra-m",
+        "seed=3,duration=120,queue=2,tenant=nlp:open:bert:0.5");
+    EXPECT_GT(st.shedQueueFull, 0u);
+    EXPECT_EQ(st.admitted, st.completed);
+    EXPECT_LE(st.maxQueueDepth, 2u);
+    expectAccounted(st);
+}
+
+TEST(ServeSim, KillBelowFloorDissolvesAndSheds)
+{
+    // The resnet18 group starts at its 2-card floor; the kill pushes
+    // it below, there is no sibling to donate to, so the class loses
+    // all capacity: queued and future vision requests shed.
+    ServeStats st = runFed(
+        "hydra-m",
+        "seed=5,duration=120,tenant=vision:open:resnet18:0.05,"
+        "tenant=nlp:open:bert:0.005,group=resnet18:2:2,group=bert:6",
+        "kill=1@30");
+    ASSERT_EQ(st.failedCards.size(), 1u);
+    EXPECT_EQ(st.failedCards[0], 1u);
+    EXPECT_EQ(st.repartitions, 1u);
+    EXPECT_GT(st.shedNoCapacity, 0u);
+    ASSERT_EQ(st.groups.size(), 2u);
+    EXPECT_TRUE(st.groups[0].retired);
+    EXPECT_FALSE(st.groups[1].retired);
+    expectAccounted(st);
+
+    // The nlp tenant's group is untouched: it sheds nothing.
+    for (const auto& t : st.tenants) {
+        if (t.name == "nlp") {
+            EXPECT_EQ(t.shed, 0u);
+        }
+    }
+}
+
+TEST(ServeSim, KillWithSiblingDonatesAndCompletes)
+{
+    ServeStats st = runFed(
+        "hydra-m",
+        "seed=5,duration=120,tenant=vision:open:resnet18:0.05,"
+        "group=resnet18:2:2,group=resnet18:6",
+        "kill=1@30");
+    EXPECT_EQ(st.repartitions, 1u);
+    EXPECT_EQ(st.shed, 0u);
+    EXPECT_EQ(st.offered, st.completed);
+    ASSERT_EQ(st.groups.size(), 2u);
+    EXPECT_TRUE(st.groups[0].retired);
+    // The survivor joined the sibling group.
+    EXPECT_EQ(st.groups[1].cards, 7u);
+    expectAccounted(st);
+}
+
+TEST(ServeSim, FaultRunStaysDeterministic)
 {
     const char* spec =
         "seed=5,duration=120,tenant=vision:open:resnet18:0.05,"
-        "tenant=nlp:open:bert:0.005";
-    ServeSim sim(machineByName("hydra-m"), ServeSpec::parse(spec));
-    ServeStats a = sim.run();
-    ServeStats b = runFed("hydra-m", spec);
-    ASSERT_GT(a.completed, 0u);
+        "tenant=nlp:open:bert:0.005,group=resnet18:2:2,group=bert:6";
+    ServeStats a = runFed("hydra-m", spec, "kill=1@30");
+    ServeStats b = runFed("hydra-m", spec, "kill=1@30");
     EXPECT_EQ(a.hash(), b.hash());
-    ASSERT_EQ(b.clusters.size(), 1u);
-    EXPECT_EQ(b.clusters[0].health, "healthy");
-    EXPECT_FALSE(b.stalled);
+}
+
+TEST(ServeSim, TraceReplayArrivesOnSchedule)
+{
+    ServeStats st = runFed(
+        "hydra-m",
+        "seed=1,duration=60,at=0:r:resnet18,at=5:r:resnet18,"
+        "at=10:r:resnet18,group=resnet18:8");
+    EXPECT_EQ(st.offered, 3u);
+    EXPECT_EQ(st.completed, 3u);
+    expectAccounted(st);
+}
+
+TEST(ServeSim, JsonCarriesHeadlineFields)
+{
+    ServeStats st = runFed("hydra-m", kMixed);
+    std::string js = st.toJson("Hydra-M", "test-spec");
+    for (const char* key :
+         {"\"machine\"", "\"throughput_rps\"", "\"p50\"", "\"p95\"",
+          "\"p99\"", "\"shed\"", "\"tenants\"", "\"groups\"",
+          "\"hash\""})
+        EXPECT_NE(js.find(key), std::string::npos) << key;
+}
+
+// ---------------------------------------------------------------------
+// Federated chaos
+// ---------------------------------------------------------------------
+
+TEST(Federation, GoldenFifoHashesUnderClusterFaults)
+{
+    // Fifo failover accounting pinned under cluster faults (captured
+    // before fifo and cake shared one dispatch path): queue wait runs
+    // to the LAST dispatch and service from it, unlike cake's
+    // first-dispatch / executed-slices split.
+    EXPECT_EQ(runFed("hydra-m", kFedPool, "ckill=1@30").hash(),
+              0xbbc08f4466561766ull);
+    EXPECT_EQ(runFed("hydra-m",
+                     "seed=3,duration=60,clusters=2,group=resnet18:8,"
+                     "tenant=pool:closed:resnet18:4:0",
+                     "cpart=1@10:15")
+                  .hash(),
+              0xd8b0ce7e1c7d8f9bull);
 }
 
 TEST(Federation, ClusterKillFailsOverAndRecovers)
@@ -139,19 +295,20 @@ TEST(Federation, CheckpointResumeIsExact)
     InferenceRunner runner(machineByName("hydra-m"));
     WorkloadModel m = workloadByName("resnet18");
     CardGroup g = CardGroup::contiguous(0, 8);
-    InferenceResult full = runner.runJob(m, g, 0);
+    std::shared_ptr<const ExecPlan> plan = runner.planForJob(m, g);
+    InferenceResult full = runner.runJob(*plan, g, 0);
     ASSERT_TRUE(full.ok());
     ASSERT_EQ(full.stepEnds.size(), m.steps.size());
 
     size_t k = m.steps.size() / 2;
     ASSERT_GT(k, 0u);
     InferenceResult head =
-        runner.runJob(m, g, 0, FaultPlan{}, RetryPolicy{}, 0, k);
+        runner.runJob(*plan, g, 0, FaultPlan{}, RetryPolicy{}, 0, k);
     ASSERT_TRUE(head.ok());
     ASSERT_EQ(head.stepEnds.size(), k);
     EXPECT_EQ(head.stepEnds.back(), full.stepEnds[k - 1]);
     // Resume from the checkpoint boundary, on the shared clock.
-    InferenceResult tail = runner.runJob(m, g, head.total.makespan,
+    InferenceResult tail = runner.runJob(*plan, g, head.total.makespan,
                                          FaultPlan{}, RetryPolicy{}, k);
     ASSERT_TRUE(tail.ok());
     EXPECT_EQ(head.total.makespan + tail.total.makespan,
