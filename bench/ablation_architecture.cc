@@ -13,7 +13,7 @@
 #include "bench_util.hh"
 
 #include "common/logging.hh"
-#include "sched/mapping.hh"
+#include "sched/progcache.hh"
 
 using namespace hydra;
 using namespace hydra::bench;
@@ -106,12 +106,13 @@ runWith(const PrototypeSpec& spec, const NetworkModel& net,
         const WorkloadModel& wl)
 {
     OpCostModel cost(spec.fpga, size_t{1} << 16, spec.dnum);
-    StepMapper mapper(cost, net, spec.cluster.totalCards(), wl.logSlots,
-                      spec.mapping);
     ClusterExecutor executor(spec.cluster, net);
     RunStats total;
     for (const auto& step : wl.steps) {
-        Program prog = mapper.mapStep(step);
+        Program prog = compileStep(cost, net, spec.cluster.totalCards(),
+                                   wl.logSlots, spec.mapping, step,
+                                   OptLevel::None)
+                           .program;
         total.append(executor.run(prog), net.stepSyncLatency());
     }
     return ticksToSeconds(total.makespan);

@@ -44,7 +44,7 @@ main()
                 InferenceRunner runner(spec);
                 double stepwise = runner.run(wl).seconds();
                 double fused = ticksToSeconds(
-                    runner.runFused(wl).makespan);
+                    runner.runFused(wl).stats.makespan);
                 t.addRow({wl.name, spec.name, fmtF(stepwise, 2),
                           fmtF(fused, 2), fmtX(stepwise / fused, 2)});
             }

@@ -11,7 +11,7 @@
 
 #include "baselines/prototypes.hh"
 #include "model/dft_model.hh"
-#include "sched/mapping.hh"
+#include "sched/progcache.hh"
 #include "sync/executor.hh"
 
 namespace hydra {
@@ -66,12 +66,13 @@ BM_MapAndSimulateConvStep(benchmark::State& state)
         "bench", cards <= 8 ? 1 : cards / 8, cards <= 8 ? cards : 8);
     OpCostModel cost(spec.fpga, size_t{1} << 16, spec.dnum);
     auto net = spec.makeNetwork();
-    StepMapper mapper(cost, *net, cards, 15);
     ClusterExecutor ex(spec.cluster, *net);
     Step step{ProcKind::ConvBN, "conv", 1024, convBnMix(), 12,
               AggKind::BroadcastEach, 0, 1.0, 32};
     for (auto _ : state) {
-        Program prog = mapper.mapStep(step);
+        Program prog = compileStep(cost, *net, cards, 15, MappingConfig{},
+                                   step, OptLevel::None)
+                           .program;
         RunStats stats = ex.run(prog);
         benchmark::DoNotOptimize(stats.makespan);
     }

@@ -2,6 +2,8 @@
  * @file
  * Command-line simulator driver: pick a machine and a workload, get
  * the full report (per-procedure budget, comm overhead, energy).
+ * --workload and --model both compile one ExecPlan at --opt and run it
+ * on the whole machine under --faults (InferenceRunner::runJob).
  *
  * Usage:
  *   hydra_sim_cli [--machine hydra-s|hydra-m|hydra-l|fab-s|fab-m|
@@ -16,12 +18,12 @@
  *                 [--dump-program]     (print each step's compiled
  *                  Program: per-card queue depths, message counts,
  *                  bytes, and the optimizer's pass deltas; no run)
- *                 [--opt LEVEL]        (pass level for --dump-program,
- *                  --model and --dump-graph:
+ *                 [--opt LEVEL]        (pass level of the compiled
+ *                  plan, --dump-program and --dump-graph:
  *                  none|safe|aggressive; default safe)
  *                 [--model NAME]       (run a declarative-registry
- *                  model through the network compiler / graph runner
- *                  instead of the step-at-a-time path)
+ *                  model's graph instead of the --workload step list;
+ *                  not with --fused)
  *                 [--dump-graph]       (print the model's NetworkGraph
  *                  IR — layers, levels, rotations, edges — after the
  *                  --opt passes; no run.  Without --model the
@@ -229,41 +231,42 @@ main(int argc, char** argv)
                 simdLevelName(simd::activeLevel()),
                 simdLevelName(simd::bestAvailableLevel()));
 
-    FaultPlan plan = FaultPlan::parse(faultSpec);
-    if (!plan.empty())
-        std::printf("faults  : %s\n\n", plan.describe().c_str());
-    if (!model.empty() && (fused || !plan.empty()))
-        fatal("--model runs through the graph compiler; --fused and "
-              "--faults apply to the step-at-a-time path");
+    FaultPlan faults = FaultPlan::parse(faultSpec);
+    if (!faults.empty())
+        std::printf("faults  : %s\n\n", faults.describe().c_str());
+    if (!model.empty() && fused)
+        fatal("--model runs through the graph compiler; --fused applies "
+              "to the step-at-a-time path");
 
     if (fused) {
-        if (!plan.empty()) {
-            RunResult rr = runner.runFused(wl, plan, retry);
-            if (!rr.ok()) {
-                std::printf("fused run failed [%s]: %s\n",
-                            RunError::kindName(rr.error.kind),
-                            rr.error.message.c_str());
-                return 1;
-            }
+        RunResult rr = runner.runFused(wl, faults, retry);
+        if (!rr.ok()) {
+            std::printf("fused run failed [%s]: %s\n",
+                        RunError::kindName(rr.error.kind),
+                        rr.error.message.c_str());
+            return 1;
+        }
+        const RunStats& st = rr.stats;
+        if (!faults.empty())
             std::printf("fused execution: %.3f s (%" PRIu64
                         " retries, %" PRIu64 " drops)\n",
-                        ticksToSeconds(rr.stats.makespan),
-                        rr.stats.retries, rr.stats.droppedTransfers);
-            return 0;
-        }
-        RunStats st = runner.runFused(wl);
-        std::printf("fused execution: %.3f s, comm overhead %.2f%%\n",
-                    ticksToSeconds(st.makespan),
-                    st.makespan ? 100.0 *
-                                      static_cast<double>(
-                                          st.commOverhead()) /
-                                      static_cast<double>(st.makespan)
-                                : 0.0);
+                        ticksToSeconds(st.makespan), st.retries,
+                        st.droppedTransfers);
+        else
+            std::printf("fused execution: %.3f s, comm overhead %.2f%%\n",
+                        ticksToSeconds(st.makespan),
+                        st.makespan
+                            ? 100.0 *
+                                  static_cast<double>(st.commOverhead()) /
+                                  static_cast<double>(st.makespan)
+                            : 0.0);
         return 0;
     }
 
-    NetOptReport netReport;
-    InferenceResult res;
+    // One run call: compile an ExecPlan at --opt (a declarative model's
+    // graph or the workload's step list), then run it on the whole
+    // machine under --faults.
+    ExecPlan plan;
     if (!model.empty()) {
         SpecError err;
         if (!graph.validate(err)) {
@@ -271,15 +274,18 @@ main(int argc, char** argv)
                          err.describe().c_str());
             return 1;
         }
-        ExecPlan plan = compilePlan(spec, runner.costModel(),
-                                    runner.network(), graph, optLevel);
-        netReport = plan.report;
-        res = runner.runPlan(plan);
-        std::printf("graph   : %zu layer(s), %s\n\n", graph.nodes.size(),
-                    netReport.describe().c_str());
+        plan = compilePlan(spec, runner.costModel(), runner.network(),
+                           graph, optLevel);
     } else {
-        res = plan.empty() ? runner.run(wl) : runner.run(wl, plan, retry);
+        plan = compilePlan(spec, runner.costModel(), runner.network(), wl,
+                           optLevel);
     }
+    InferenceResult res = runner.runJob(
+        plan, CardGroup::contiguous(0, spec.cluster.totalCards()), 0,
+        faults, retry);
+    if (!model.empty())
+        std::printf("graph   : %zu layer(s), %s\n\n", graph.nodes.size(),
+                    plan.report.describe().c_str());
     if (!res.ok()) {
         std::printf("run failed [%s]: %s\n",
                     RunError::kindName(res.error.kind),
@@ -292,7 +298,7 @@ main(int argc, char** argv)
                 "%.2f GiB moved\n\n",
                 res.seconds(), res.commFraction() * 100,
                 static_cast<double>(res.total.netBytes) / (1 << 30));
-    if (!plan.empty()) {
+    if (!faults.empty()) {
         std::printf("fault recovery: %" PRIu64 " retries (%" PRIu64
                     " dropped, %" PRIu64 " corrupted, %" PRIu64
                     " timed out)\n",

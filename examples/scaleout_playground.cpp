@@ -17,7 +17,7 @@
 
 #include "baselines/prototypes.hh"
 #include "common/table.hh"
-#include "sched/mapping.hh"
+#include "sched/progcache.hh"
 #include "sync/executor.hh"
 
 using namespace hydra;
@@ -43,7 +43,6 @@ main(int argc, char** argv)
 
     OpCostModel cost(FpgaParams{}, size_t{1} << 16, 4);
     SwitchedNetwork net(NetParams{}, cluster);
-    StepMapper mapper(cost, net, cards, 15);
     ClusterExecutor executor(cluster, net);
 
     struct Demo
@@ -69,7 +68,9 @@ main(int argc, char** argv)
         executor.setFaultPlan(plan);
     }
     for (const auto& demo : demos) {
-        Program prog = mapper.mapStep(demo.step);
+        Program prog = compileStep(cost, net, cards, 15, MappingConfig{},
+                                   demo.step, OptLevel::None)
+                           .program;
         RunResult rr = executor.tryRun(prog);
         if (!rr.ok()) {
             std::printf("--- %s ---\n", demo.title);

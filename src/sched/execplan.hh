@@ -76,7 +76,7 @@ struct PlanWindow
     size_t first = 0;
     size_t count = npos;
 
-    /** Materialize every unit (run()/runPlan() semantics). */
+    /** Materialize every unit (ready for runPlan()). */
     static PlanWindow all() { return PlanWindow{}; }
 
     /** Materialize nothing — a skeleton plan (serving dispatch). */

@@ -27,7 +27,8 @@
  *    Program, so unit N+1's broadcasts sit in the comm queues behind
  *    unit N's compute and transfers hide under it (the Section IV-D
  *    fused mode, applied in bounded windows).  Bootstrap boundaries
- *    stay barriers.
+ *    stay barriers.  InferenceRunner::runFused is the unbounded case:
+ *    the whole workload as one Prefetch unit at OptLevel::None.
  */
 
 #ifndef HYDRA_SCHED_GRAPH_NETCOMPILE_HH

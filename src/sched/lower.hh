@@ -7,10 +7,9 @@
  * OpCost aggregates, ciphertext counts become wire bytes.
  *
  * Lowering replays the plan's emission order through a ProgramBuilder,
- * so the produced Program is bit-identical to what the pre-pipeline
- * StepMapper built directly — including compute/message id assignment
- * and label interning — and appending into a caller's builder (fused
- * mode) composes exactly like the old mapStepInto.
+ * so compute/message ids and label interning follow the plan exactly.
+ * A multi-step unit (fuse-linear, prefetch, the fused mode) plans all
+ * its members into one LogicalPlan and lowers it once.
  */
 
 #ifndef HYDRA_SCHED_LOWER_HH
@@ -37,15 +36,6 @@ Tick bootstrapLocalTicks(const OpCostModel& cost, const NetworkModel& net,
 /** Lower `plan` into a fresh Program. */
 Program lowerPlan(const LogicalPlan& plan, const OpCostModel& cost,
                   const NetworkModel& net, const MappingConfig& config);
-
-/**
- * Append `plan`'s lowered tasks to an existing builder (fused
- * scheduling).  Plan-local ids are re-bound to builder-issued ids in
- * emission order; the builder's card count must match the plan's.
- */
-void lowerPlanInto(ProgramBuilder& pb, const LogicalPlan& plan,
-                   const OpCostModel& cost, const NetworkModel& net,
-                   const MappingConfig& config);
 
 } // namespace hydra
 

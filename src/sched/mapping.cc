@@ -44,18 +44,6 @@ StepMapper::planStep(const Step& step) const
     return pb.take();
 }
 
-Program
-StepMapper::mapStep(const Step& step) const
-{
-    return lowerPlan(planStep(step), cost_, net_, config_);
-}
-
-void
-StepMapper::mapStepInto(ProgramBuilder& pb, const Step& step) const
-{
-    lowerPlanInto(pb, planStep(step), cost_, net_, config_);
-}
-
 void
 StepMapper::planStepInto(PlanBuilder& pb, const Step& step) const
 {

@@ -17,10 +17,10 @@
  *    EvaExp, leader-local double-angle -- with Radix/bs chosen by the
  *    Eq. 1 optimizer.
  *
- * mapStep/mapStepInto remain as the plan+lower composition (see
- * sched/lower.hh) and produce bit-identical Programs to the historical
- * direct path; planStep exposes the plan itself for re-costing,
- * optimization and caching (sched/passes.hh, sched/progcache.hh).
+ * The plan is machine-independent: lowering (sched/lower.hh) binds the
+ * cost and network models, and compileStep / compileNetUnit
+ * (sched/progcache.hh, sched/graph/netcompile.hh) compose plan, lower
+ * and optimize, with caching.
  */
 
 #ifndef HYDRA_SCHED_MAPPING_HH
@@ -48,7 +48,7 @@ struct MappingConfig
     size_t dftLevels = 3;
 };
 
-/** Builds per-step plans/Programs for one (machine, workload) pair. */
+/** Builds per-step plans for one (machine, workload) pair. */
 class StepMapper
 {
   public:
@@ -64,20 +64,14 @@ class StepMapper
      */
     LogicalPlan planStep(const Step& step) const;
 
-    /** Append one step's plan ops to an existing plan builder. */
-    void planStepInto(PlanBuilder& pb, const Step& step) const;
-
-    /** Map one step onto the cluster (plan + lower). */
-    Program mapStep(const Step& step) const;
-
     /**
-     * Append one step's tasks to an existing builder.  Used by the
-     * fused scheduling mode (paper Section IV-D: "multiple tasks can be
-     * loaded into each FPGA's task queue at once"), which removes the
-     * per-step barrier and lets a card start the next step while peers
-     * finish the current one.
+     * Append one step's plan ops to an existing plan builder.  A
+     * multi-member unit plans all its steps into one builder; the fused
+     * scheduling mode (paper Section IV-D: "multiple tasks can be
+     * loaded into each FPGA's task queue at once") is the whole
+     * workload as one such unit.
      */
-    void mapStepInto(ProgramBuilder& pb, const Step& step) const;
+    void planStepInto(PlanBuilder& pb, const Step& step) const;
 
     /** Single-card time of one full bootstrap (used for data-parallel
      *  bootstrap scheduling and for Fig. 9 style analyses). */

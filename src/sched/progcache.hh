@@ -9,10 +9,10 @@
  * parameters, topology), the card count, the mapping knobs and the
  * step content — and is fault-independent: fault plans act at
  * *execution* time, so a cached Program stays valid under any
- * FaultPlan.  InferenceRunner (run / degraded re-dispatch / runJob)
- * and the serving Federation therefore share one process-wide cache
- * keyed by those
- * inputs, in the counter style of BufferPool: deep serving runs and
+ * FaultPlan.  Every InferenceRunner path (run / runPlan / runJob,
+ * degraded re-dispatch, runFused) and the serving Federation therefore
+ * share one process-wide cache keyed by those inputs, in the counter
+ * style of BufferPool: deep serving runs and
  * repeated identical layers (ResNet blocks, transformer layers) hit
  * after the first compile.
  *

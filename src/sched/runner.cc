@@ -103,32 +103,6 @@ InferenceRunner::InferenceRunner(PrototypeSpec spec, size_t ring_n)
 {
 }
 
-RunStats
-InferenceRunner::runFused(const WorkloadModel& workload) const
-{
-    StepMapper mapper(cost_, *net_, spec_.cluster.totalCards(),
-                      workload.logSlots, spec_.mapping);
-    ClusterExecutor executor(spec_.cluster, *net_);
-    ProgramBuilder pb(spec_.cluster.totalCards());
-    for (const auto& step : workload.steps)
-        mapper.mapStepInto(pb, step);
-    return executor.run(pb.take());
-}
-
-InferenceResult
-InferenceRunner::run(const WorkloadModel& workload) const
-{
-    return runPlan(compilePlan(spec_, cost_, *net_, workload));
-}
-
-std::shared_ptr<const ExecPlan>
-InferenceRunner::planFor(const WorkloadModel& workload,
-                         OptLevel level) const
-{
-    return std::make_shared<ExecPlan>(
-        compilePlan(spec_, cost_, *net_, workload, level));
-}
-
 std::shared_ptr<const ExecPlan>
 InferenceRunner::planForJob(const WorkloadModel& workload,
                             const CardGroup& group, OptLevel level) const
@@ -144,36 +118,6 @@ InferenceRunner::planUnitCount(const WorkloadModel& workload,
                                OptLevel level) const
 {
     return hydra::planUnitCount(spec_, cost_, *net_, workload, level);
-}
-
-InferenceResult
-InferenceRunner::runPlan(const ExecPlan& plan, size_t first_unit,
-                         size_t num_units) const
-{
-    InferenceResult result;
-    result.machine = spec_.name;
-    result.workload = plan.workload;
-
-    size_t end = plan.units.size();
-    first_unit = std::min(first_unit, end);
-    if (num_units < end - first_unit)
-        end = first_unit + num_units;
-
-    ClusterExecutor executor(spec_.cluster, *net_);
-    for (size_t ui = first_unit; ui < end; ++ui) {
-        const ExecUnit& u = plan.units[ui];
-        auto compiled = u.compiled
-                            ? u.compiled
-                            : compilePlanUnit(spec_, spec_.cluster,
-                                              spec_.cluster, cost_,
-                                              *net_, plan.logSlots, u,
-                                              plan.level);
-        RunStats stats = executor.run(compiled->program);
-        result.total.append(stats, net_->stepSyncLatency());
-        result.steps.push_back(StepResult{u.name, u.lead, stats});
-        result.stepEnds.push_back(result.total.makespan);
-    }
-    return result;
 }
 
 namespace {
@@ -205,8 +149,7 @@ InferenceRunner::execFaulted(const PrototypeSpec& sub,
                              const NetworkModel& net,
                              const ExecPlan& plan,
                              const std::vector<size_t>& cards,
-                             Tick start_tick, bool absolute_clock,
-                             const FaultPlan& faults,
+                             Tick start_tick, const FaultPlan& faults,
                              const RetryPolicy& retry, size_t first_unit,
                              size_t num_units) const
 {
@@ -218,8 +161,15 @@ InferenceRunner::execFaulted(const PrototypeSpec& sub,
     // as i.
     std::vector<size_t> alive = cards;
     ClusterConfig cluster = sub.cluster;
-    auto executor = std::make_unique<ClusterExecutor>(cluster, net);
-    executor->setRetryPolicy(retry);
+    std::unique_ptr<ClusterExecutor> executor;
+    // Kill ticks are absolute, so the machine-global plan is projected
+    // onto the live cards once per executor, never shifted per unit.
+    auto buildExecutor = [&] {
+        executor = std::make_unique<ClusterExecutor>(cluster, net);
+        executor->setRetryPolicy(retry);
+        executor->setFaultPlan(planForGroup(faults, alive));
+    };
+    buildExecutor();
     // Materialized programs are only valid while the executing cluster
     // matches the plan's shape; after a death (or a shape mismatch)
     // every attempt resolves through the ProgramCache.
@@ -236,22 +186,8 @@ InferenceRunner::execFaulted(const PrototypeSpec& sub,
     for (size_t ui = first_unit; ui < end; ++ui) {
         const ExecUnit& u = plan.units[ui];
         for (;;) {
-            Tick elapsed = result.total.makespan;
-            FaultPlan fp = planForGroup(faults, alive);
-            if (absolute_clock) {
-                // The executor's clock IS the serve clock: each unit
-                // starts where the job has advanced to, and kill
-                // ticks need no shifting.
-                executor->setTimeOrigin(start_tick + elapsed);
-            } else {
-                // Legacy whole-machine semantics: cardFailAt ticks
-                // are global inference time, but each unit's executor
-                // run restarts its clock — shift the plan by the time
-                // elapsed so far.
-                for (auto& [card, t] : fp.cardFailAt)
-                    t = t > elapsed ? t - elapsed : 0;
-            }
-            executor->setFaultPlan(fp);
+            // Each unit starts where the job has advanced to.
+            executor->setTimeOrigin(start_tick + result.total.makespan);
 
             // The compiled program is fault-independent: only the
             // executor's fault plan differs between attempts, so the
@@ -284,20 +220,36 @@ InferenceRunner::execFaulted(const PrototypeSpec& sub,
             result.total.append(rr.stats, 0);
             result.failedCards.push_back(alive[dead]);
             ++result.redispatches;
-            alive.erase(alive.begin() + dead);
-            if (alive.empty()) {
+            if (alive.size() == 1) {
+                // The executor names its local index; report the
+                // machine card.
                 result.error = std::move(rr.error);
-                result.error.message += " (no surviving cards left)";
+                result.error.card = alive[dead];
+                result.error.message =
+                    strf("card %zu failed permanently at %.6f s (no "
+                         "surviving cards left)",
+                         alive[dead], ticksToSeconds(result.error.tick));
                 return result;
             }
+            alive.erase(alive.begin() + dead);
             cluster = ClusterConfig{1, alive.size()};
             degraded = true;
-            executor = std::make_unique<ClusterExecutor>(cluster, net);
-            executor->setRetryPolicy(retry);
+            buildExecutor();
         }
     }
     return result;
 }
+
+namespace {
+
+/** The whole machine as a card list [0, cards). */
+std::vector<size_t>
+allCards(const ClusterConfig& cluster)
+{
+    return CardGroup::contiguous(0, cluster.totalCards()).cards;
+}
+
+} // namespace
 
 InferenceResult
 InferenceRunner::run(const WorkloadModel& workload,
@@ -306,12 +258,16 @@ InferenceRunner::run(const WorkloadModel& workload,
 {
     ExecPlan plan = compilePlan(spec_, cost_, *net_, workload,
                                 OptLevel::Safe, PlanWindow::none());
-    std::vector<size_t> cards(spec_.cluster.totalCards());
-    for (size_t i = 0; i < cards.size(); ++i)
-        cards[i] = i;
-    return execFaulted(spec_, *net_, plan, cards, 0,
-                       /*absolute_clock=*/false, faults, retry, 0,
-                       static_cast<size_t>(-1));
+    return execFaulted(spec_, *net_, plan, allCards(spec_.cluster), 0,
+                       faults, retry, 0, static_cast<size_t>(-1));
+}
+
+InferenceResult
+InferenceRunner::runPlan(const ExecPlan& plan, size_t first_unit,
+                         size_t num_units) const
+{
+    return execFaulted(spec_, *net_, plan, allCards(spec_.cluster), 0,
+                       {}, {}, first_unit, num_units);
 }
 
 InferenceResult
@@ -330,9 +286,8 @@ InferenceRunner::runJob(const ExecPlan& plan, const CardGroup& group,
     }
     PrototypeSpec sub = groupSubSpec(spec_, group);
     std::unique_ptr<NetworkModel> net = sub.makeNetwork();
-    return execFaulted(sub, *net, plan, group.cards, start_tick,
-                       /*absolute_clock=*/true, faults, retry,
-                       first_unit, num_units);
+    return execFaulted(sub, *net, plan, group.cards, start_tick, faults,
+                       retry, first_unit, num_units);
 }
 
 RunResult
@@ -340,15 +295,20 @@ InferenceRunner::runFused(const WorkloadModel& workload,
                           const FaultPlan& faults,
                           const RetryPolicy& retry) const
 {
-    StepMapper mapper(cost_, *net_, spec_.cluster.totalCards(),
-                      workload.logSlots, spec_.mapping);
+    // One preloaded program holding every step: the multi-member unit
+    // compiler with no optimizer passes.
+    std::vector<const Step*> members;
+    members.reserve(workload.steps.size());
+    for (const Step& s : workload.steps)
+        members.push_back(&s);
+    auto compiled = compileNetUnit(
+        spec_, spec_.cluster, spec_.cluster, cost_, *net_,
+        workload.logSlots, members, NetUnit::Kind::Prefetch,
+        OptLevel::None);
     ClusterExecutor executor(spec_.cluster, *net_);
     executor.setFaultPlan(faults);
     executor.setRetryPolicy(retry);
-    ProgramBuilder pb(spec_.cluster.totalCards());
-    for (const auto& step : workload.steps)
-        mapper.mapStepInto(pb, step);
-    return executor.tryRun(pb.take());
+    return executor.tryRun(compiled->program);
 }
 
 } // namespace hydra

@@ -127,12 +127,13 @@ struct InferenceResult
  * Runs workloads on one machine.
  *
  * Every execution path is a thin driver over an ExecPlan
- * (sched/execplan.hh).  compilePlan() is the one compile entry point
- * (a WorkloadModel or a NetworkGraph at any OptLevel); runPlan()
- * replays a machine-scoped plan unit by unit, and runJob() feeds a
- * job-scoped plan through the one degraded-re-dispatch driver.  run()
- * is run(compilePlan(workload)); the serving layer compiles once via
- * planForJob() and executes windows of the shared plan.
+ * (sched/execplan.hh) and one unit-execution loop on one clock.
+ * compilePlan() is the one compile entry point (a WorkloadModel or a
+ * NetworkGraph at any OptLevel); run(), runPlan() and runJob() all
+ * feed plan units through the same degraded-re-dispatch driver, whose
+ * executor origin is the job's start tick plus the time elapsed, so
+ * fault-plan kill ticks are absolute everywhere.  runFused() compiles
+ * the whole workload as one preloaded multi-member unit.
  */
 class InferenceRunner
 {
@@ -144,16 +145,20 @@ class InferenceRunner
     explicit InferenceRunner(PrototypeSpec spec,
                              size_t ring_n = size_t{1} << 16);
 
-    InferenceResult run(const WorkloadModel& workload) const;
-
     /**
-     * Compile `workload` into a materialized machine-scoped ExecPlan
-     * (every unit's Program resolved through the shared ProgramCache
-     * at build time), for runPlan().
+     * Run `workload` step by step on the whole machine from tick 0
+     * (Procedure-2 robustness).  On a permanent card failure the
+     * failed step is re-mapped onto the surviving cards (modelled as a
+     * flat single-switch cluster) and re-run; the wasted attempt time
+     * is charged to the makespan and reported as
+     * InferenceResult::recoveryPenalty.  Unrecoverable failures
+     * (exhausted retry budget, deadlock, no survivors left) terminate
+     * the run with InferenceResult::error set — never abort.  Equal to
+     * runJob(compilePlan(workload), all cards, 0, faults, retry).
      */
-    std::shared_ptr<const ExecPlan>
-    planFor(const WorkloadModel& workload,
-            OptLevel level = OptLevel::Safe) const;
+    InferenceResult run(const WorkloadModel& workload,
+                        const FaultPlan& faults = {},
+                        const RetryPolicy& retry = {}) const;
 
     /**
      * Compile `workload` into a skeleton ExecPlan for `group`'s
@@ -179,8 +184,8 @@ class InferenceRunner
 
     /**
      * Execute units [first_unit, first_unit + num_units) of a
-     * machine-scoped plan on the whole machine, fault-free.  Skeleton
-     * units resolve their Program through the ProgramCache.
+     * machine-scoped plan on the whole machine from tick 0, fault-free.
+     * Skeleton units resolve their Program through the ProgramCache.
      */
     InferenceResult
     runPlan(const ExecPlan& plan, size_t first_unit = 0,
@@ -199,8 +204,9 @@ class InferenceRunner
      * outside the group are ignored) and cardFailAt ticks are absolute
      * serve-clock times — no caller-side shifting.  On a permanent
      * card failure inside the group the failed unit is re-dispatched
-     * onto the group's survivors exactly like run(faults), and the
-     * result's failedCards reports original machine indices.
+     * onto the group's survivors exactly like run(faults); the
+     * result's failedCards and a terminal error's card report original
+     * machine indices.
      *
      * The returned total.makespan is the job's duration, i.e. the job
      * ends at start_tick + total.makespan.
@@ -212,34 +218,15 @@ class InferenceRunner
            size_t num_units = static_cast<size_t>(-1)) const;
 
     /**
-     * Fault-aware execution (Procedure-2 robustness).  Runs each step
-     * under the given fault plan and retry policy.  On a permanent
-     * card failure the failed step is re-mapped onto the surviving
-     * cards (modelled as a flat single-switch cluster) and re-run;
-     * the wasted attempt time is charged to the makespan and reported
-     * as InferenceResult::recoveryPenalty.  Unrecoverable failures
-     * (exhausted retry budget, deadlock, no survivors left) terminate
-     * the run with InferenceResult::error set — never abort.
-     */
-    InferenceResult run(const WorkloadModel& workload,
-                        const FaultPlan& faults,
-                        const RetryPolicy& retry = {}) const;
-
-    /**
      * Fused execution: all steps preloaded into the card queues as one
      * program (paper Section IV-D), removing per-step barriers -- a
      * card may start the next step while its peers drain the current
-     * one.  Returns the single merged run's statistics.
-     */
-    RunStats runFused(const WorkloadModel& workload) const;
-
-    /**
-     * Fused execution under a fault plan.  Fused queues cannot be
-     * re-dispatched mid-stream, so a permanent card failure surfaces
-     * as a structured error instead of degrading.
+     * one.  Fused queues cannot be re-dispatched mid-stream, so a
+     * permanent card failure surfaces as a structured error instead
+     * of degrading.  Returns the single merged run.
      */
     RunResult runFused(const WorkloadModel& workload,
-                       const FaultPlan& faults,
+                       const FaultPlan& faults = {},
                        const RetryPolicy& retry = {}) const;
 
     const OpCostModel& costModel() const { return cost_; }
@@ -248,22 +235,18 @@ class InferenceRunner
 
   private:
     /**
-     * The one fault-aware execution driver: run plan units
+     * The one execution driver: run plan units
      * [first_unit, first_unit + num_units) on the cards in `alive`
      * (original machine indices) under `sub`'s topology, re-dispatching
-     * onto survivors after permanent card failures.  With
-     * `absolute_clock` the executor's origin tracks
-     * start_tick + elapsed and kill ticks are absolute serve-clock
-     * times (runJob semantics); without it the origin stays 0 and kill
-     * ticks are shifted by the elapsed makespan per attempt (legacy
-     * whole-machine run(faults) semantics).
+     * onto survivors after permanent card failures.  The executor's
+     * origin tracks start_tick + elapsed, so kill ticks are absolute.
      */
     InferenceResult
     execFaulted(const PrototypeSpec& sub, const NetworkModel& net,
                 const ExecPlan& plan, const std::vector<size_t>& cards,
-                Tick start_tick, bool absolute_clock,
-                const FaultPlan& faults, const RetryPolicy& retry,
-                size_t first_unit, size_t num_units) const;
+                Tick start_tick, const FaultPlan& faults,
+                const RetryPolicy& retry, size_t first_unit,
+                size_t num_units) const;
 
     PrototypeSpec spec_;
     OpCostModel cost_;

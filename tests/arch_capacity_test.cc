@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/opcost.hh"
-#include "sched/mapping.hh"
+#include "sched/progcache.hh"
 #include "sync/executor.hh"
 
 namespace hydra {
@@ -73,16 +73,23 @@ class TimelineTest : public ::testing::Test
         : cluster_{1, 4},
           cost_(FpgaParams{}, size_t{1} << 16, 4),
           net_(NetParams{}, cluster_),
-          mapper_(cost_, net_, 4, 15),
           executor_(cluster_, net_)
     {
         executor_.setRecordTimeline(true);
     }
 
+    /** Plan + lower one step on the 4-card cluster, no passes. */
+    Program
+    compile(const Step& s) const
+    {
+        return compileStep(cost_, net_, 4, 15, MappingConfig{}, s,
+                           OptLevel::None)
+            .program;
+    }
+
     ClusterConfig cluster_;
     OpCostModel cost_;
     SwitchedNetwork net_;
-    StepMapper mapper_;
     ClusterExecutor executor_;
 };
 
@@ -90,7 +97,7 @@ TEST_F(TimelineTest, EventsCoverComputeBusy)
 {
     Step s{ProcKind::ConvBN, "conv", 64, convBnMix(), 12,
            AggKind::BroadcastEach, 0, 1.0, 8};
-    RunStats st = executor_.run(mapper_.mapStep(s));
+    RunStats st = executor_.run(compile(s));
     ASSERT_FALSE(st.timeline.empty());
 
     // Per-card compute-event durations must sum to computeBusy.
@@ -110,7 +117,7 @@ TEST_F(TimelineTest, ComputeEventsDoNotOverlapPerCard)
 {
     Step s{ProcKind::Bootstrap, "boot", 1, OpMix{}, 18, AggKind::None, 0,
            1.0, 1};
-    RunStats st = executor_.run(mapper_.mapStep(s));
+    RunStats st = executor_.run(compile(s));
     std::vector<std::vector<std::pair<Tick, Tick>>> per_card(4);
     for (const auto& ev : st.timeline)
         if (ev.kind == TaskEvent::Kind::Compute)
@@ -127,7 +134,7 @@ TEST_F(TimelineTest, RecordingOffLeavesTimelineEmpty)
     ClusterExecutor quiet(cluster_, net_);
     Step s{ProcKind::FC, "fc", 64, fcMix(), 12, AggKind::ReduceTree, 0,
            1.0, 1};
-    RunStats st = quiet.run(mapper_.mapStep(s));
+    RunStats st = quiet.run(compile(s));
     EXPECT_TRUE(st.timeline.empty());
 }
 

@@ -659,21 +659,22 @@ TEST(ExecPlanPath, SafePlanRunsBitIdenticalToLegacyRun)
 {
     InferenceRunner runner(machineByName("hydra-m"));
     WorkloadModel wl = workloadByName("resnet18");
-    std::shared_ptr<const ExecPlan> plan = runner.planFor(wl);
-    ASSERT_EQ(plan->size(), wl.steps.size());
-    EXPECT_EQ(plan->level, OptLevel::Safe);
+    ExecPlan plan = compilePlan(runner.spec(), runner.costModel(),
+                                runner.network(), wl);
+    ASSERT_EQ(plan.size(), wl.steps.size());
+    EXPECT_EQ(plan.level, OptLevel::Safe);
 
     // Safe units carry the legacy per-step cache keys, so the plan
     // populates the exact ProgramCache entries the old path did.
     NetRig rig("hydra-m");
     for (size_t i = 0; i < wl.steps.size(); ++i)
-        EXPECT_EQ(plan->units[i].key,
+        EXPECT_EQ(plan.units[i].key,
                   stepCacheKey(rig.spec, rig.spec.cluster,
                                rig.spec.cluster, rig.cost.n(),
                                wl.logSlots, wl.steps[i]))
             << i;
 
-    InferenceResult viaPlan = runner.runPlan(*plan);
+    InferenceResult viaPlan = runner.runPlan(plan);
     InferenceResult legacy = runner.run(wl);
     ASSERT_TRUE(viaPlan.ok());
     EXPECT_EQ(viaPlan.total.makespan, legacy.total.makespan);
@@ -685,25 +686,26 @@ TEST(ExecPlanPath, AggressivePlanMatchesRunGraphAndFusesUnits)
 {
     InferenceRunner runner(machineByName("hydra-m"));
     WorkloadModel wl = workloadByName("bert");
-    std::shared_ptr<const ExecPlan> plan =
-        runner.planFor(wl, OptLevel::Aggressive);
+    ExecPlan plan = compilePlan(runner.spec(), runner.costModel(),
+                                runner.network(), wl,
+                                OptLevel::Aggressive);
 
     // The cross-step passes compress the unit sequence: fewer units
     // than layers, at least one unit spanning several member steps.
-    EXPECT_LT(plan->size(), wl.steps.size());
+    EXPECT_LT(plan.size(), wl.steps.size());
     size_t multi = 0;
-    for (const ExecUnit& u : plan->units)
+    for (const ExecUnit& u : plan.units)
         multi += u.steps.size() > 1;
     EXPECT_GT(multi, 0u);
     EXPECT_EQ(runner.planUnitCount(wl, OptLevel::Aggressive),
-              plan->size());
+              plan.size());
 
-    InferenceResult viaPlan = runner.runPlan(*plan);
+    InferenceResult viaPlan = runner.runPlan(plan);
     InferenceResult viaGraph = runner.runPlan(graphPlan(
         runner, NetworkGraph::fromModel(wl), OptLevel::Aggressive));
     ASSERT_TRUE(viaPlan.ok());
     EXPECT_EQ(viaPlan.total.makespan, viaGraph.total.makespan);
-    EXPECT_EQ(viaPlan.stepEnds.size(), plan->size());
+    EXPECT_EQ(viaPlan.stepEnds.size(), plan.size());
 }
 
 TEST(ExecPlanPath, SkeletonJobPlanMatchesLegacyRunJob)
@@ -720,10 +722,11 @@ TEST(ExecPlanPath, SkeletonJobPlanMatchesLegacyRunJob)
     // The reference: the group's sub-machine run as a whole machine
     // through a materialized plan (fault-free jobs are start-invariant).
     InferenceRunner sub(groupSubSpec(spec, group));
-    std::shared_ptr<const ExecPlan> whole = sub.planFor(wl);
+    ExecPlan whole = compilePlan(sub.spec(), sub.costModel(),
+                                 sub.network(), wl);
     const Tick start = secondsToTicks(3.0);
     InferenceResult viaPlan = runner.runJob(*plan, group, start);
-    InferenceResult ref = sub.runPlan(*whole);
+    InferenceResult ref = sub.runPlan(whole);
     ASSERT_TRUE(viaPlan.ok()) << viaPlan.error.message;
     EXPECT_EQ(viaPlan.total.makespan, ref.total.makespan);
     EXPECT_EQ(viaPlan.stepEnds, ref.stepEnds);
@@ -732,7 +735,7 @@ TEST(ExecPlanPath, SkeletonJobPlanMatchesLegacyRunJob)
     // matches the same window of the whole-machine plan.
     InferenceResult planWin = runner.runJob(*plan, group, start, {}, {},
                                             2, 3);
-    InferenceResult refWin = sub.runPlan(*whole, 2, 3);
+    InferenceResult refWin = sub.runPlan(whole, 2, 3);
     EXPECT_EQ(planWin.total.makespan, refWin.total.makespan);
     EXPECT_EQ(planWin.stepEnds, refWin.stepEnds);
     ASSERT_EQ(planWin.steps.size(), 3u);

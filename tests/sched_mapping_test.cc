@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sched/mapping.hh"
+#include "sched/progcache.hh"
 #include "sync/executor.hh"
 
 namespace hydra {
@@ -30,12 +30,16 @@ struct MapperFixture
         executor = std::make_unique<ClusterExecutor>(cluster, *net);
     }
 
-    RunStats
-    runStep(const Step& s)
+    /** Plan + lower one step, no optimizer passes. */
+    Program
+    compile(const Step& s) const
     {
-        Program p = mapper->mapStep(s);
-        return executor->run(p);
+        return compileStep(cost, *net, cluster.totalCards(), 15,
+                           MappingConfig{}, s, OptLevel::None)
+            .program;
     }
+
+    RunStats runStep(const Step& s) { return executor->run(compile(s)); }
 
     ClusterConfig cluster;
     OpCostModel cost;
@@ -117,7 +121,7 @@ TEST(Mapping, ConvBroadcastDeliversToEveryCard)
     size_t cards = 8;
     MapperFixture f(cards);
     Step s = convStep(64);
-    Program p = f.mapper->mapStep(s);
+    Program p = f.compile(s);
     // Every card posts receives for the other cards' outputs.
     for (size_t c = 0; c < cards; ++c) {
         size_t recvs = 0, sends = 0;
@@ -141,7 +145,7 @@ TEST(Mapping, ReduceTreeUsesLogRounds)
     size_t cards = 8;
     MapperFixture f(cards);
     Step s = fcStep();
-    Program p = f.mapper->mapStep(s);
+    Program p = f.compile(s);
     // Tree reduction: 7 point-to-point sends + final broadcast.
     size_t sends = 0, bcasts = 0;
     for (const auto& card : p.cards) {
@@ -165,7 +169,7 @@ TEST(Mapping, NonLinearUsesTreeWhenUnitsBelowCards)
     MapperFixture f(8);
     // 2 evaluations on 8 cards: each gets a 4-card Alg. 1 group that
     // exchanges sub-results (CMult on several cards).
-    Program p = f.mapper->mapStep(reluStep(2));
+    Program p = f.compile(reluStep(2));
     size_t active_cards = 0;
     for (const auto& card : p.cards)
         if (!card.compute.empty())
@@ -178,7 +182,7 @@ TEST(Mapping, NonLinearUsesTreeWhenUnitsBelowCards)
 TEST(Mapping, NonLinearDataParallelWhenUnitsCoverCards)
 {
     MapperFixture f(8);
-    Program p = f.mapper->mapStep(reluStep(64));
+    Program p = f.compile(reluStep(64));
     for (const auto& card : p.cards)
         EXPECT_FALSE(card.compute.empty());
     RunStats st = f.executor->run(p);
@@ -226,11 +230,14 @@ TEST(Mapping, PolyTreeWinsWhenTransfersAreCheap)
     auto run_group = [&](size_t cards) {
         ClusterConfig cfg{1, cards};
         SwitchedNetwork net(fast, cfg);
-        StepMapper mapper(cost, net, cards, 15);
         ClusterExecutor ex(cfg, net);
         Step s = reluStep(1);
         s.polyDegree = 59;
-        return ex.run(mapper.mapStep(s)).makespan;
+        return ex
+            .run(compileStep(cost, net, cards, 15, MappingConfig{}, s,
+                             OptLevel::None)
+                     .program)
+            .makespan;
     };
     EXPECT_LT(run_group(8), run_group(2));
 }
@@ -238,7 +245,7 @@ TEST(Mapping, PolyTreeWinsWhenTransfersAreCheap)
 TEST(Mapping, BootstrapDataParallelWhenManyCts)
 {
     MapperFixture f(8);
-    Program p = f.mapper->mapStep(bootStep(32));
+    Program p = f.compile(bootStep(32));
     // 32 boots on 8 cards: purely local, no communication.
     for (const auto& card : p.cards) {
         EXPECT_TRUE(card.comm.empty());
@@ -249,7 +256,7 @@ TEST(Mapping, BootstrapDataParallelWhenManyCts)
 TEST(Mapping, BootstrapGroupMappingWhenFewCts)
 {
     MapperFixture f(8);
-    Program p = f.mapper->mapStep(bootStep(2));
+    Program p = f.compile(bootStep(2));
     // 2 boots on 8 cards: 4-card groups communicate (DFT aggregation).
     size_t comm_tasks = 0;
     for (const auto& card : p.cards)

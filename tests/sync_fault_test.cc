@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/prototypes.hh"
+#include "sched/execplan.hh"
 #include "sched/runner.hh"
 #include "sync/executor.hh"
 
@@ -508,6 +509,91 @@ TEST(Degraded, EveryCardDyingIsATerminalError)
     EXPECT_EQ(res.failedCards.size(), 2u);
     EXPECT_NE(res.error.message.find("no surviving cards"),
               std::string::npos);
+}
+
+TEST(Degraded, TerminalErrorTickIsOnTheInferenceClock)
+{
+    // Card 0 dies at T/2, the survivor at 3T/4: the run ends with no
+    // cards left, and the error carries the second kill tick on the
+    // inference clock, not a tick relative to the failed unit.
+    PrototypeSpec spec = hydraPrototype("tiny", 1, 2);
+    InferenceRunner runner(spec);
+    WorkloadModel wl = makeResNet20Cifar();
+    Tick T = runner.run(wl).total.makespan;
+    FaultPlan plan;
+    plan.cardFailAt[0] = T / 2;
+    plan.cardFailAt[1] = 3 * T / 4;
+    InferenceResult res = runner.run(wl, plan);
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.error.kind, RunError::Kind::CardFailed);
+    EXPECT_EQ(res.error.tick, plan.cardFailAt[1]);
+    EXPECT_EQ(res.error.card, 1u);
+    EXPECT_EQ(res.failedCards, (std::vector<size_t>{0, 1}));
+}
+
+TEST(Degraded, TerminalErrorNamesTheMachineCard)
+{
+    // A job on cards {2,3} of a 4-card machine loses 2, then 3: the
+    // executor sees the last death as its local card 0, the result
+    // must name machine card 3.
+    PrototypeSpec spec = hydraPrototype("quad", 1, 4);
+    InferenceRunner runner(spec);
+    WorkloadModel wl = toyWorkload();
+    CardGroup group{{2, 3}};
+    auto plan = runner.planForJob(wl, group);
+    Tick T = runner.runJob(*plan, group, 0).total.makespan;
+    ASSERT_GT(T, 0u);
+
+    FaultPlan faults;
+    faults.cardFailAt[2] = T / 4;
+    faults.cardFailAt[3] = T / 2;
+    InferenceResult res = runner.runJob(*plan, group, 0, faults);
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.error.kind, RunError::Kind::CardFailed);
+    EXPECT_EQ(res.error.card, 3u);
+    EXPECT_EQ(res.error.message.rfind("card 3 failed", 0), 0u)
+        << res.error.message;
+    EXPECT_EQ(res.failedCards, (std::vector<size_t>{2, 3}));
+}
+
+TEST(Degraded, WholeMachineRunEqualsRunJobFromTickZero)
+{
+    PrototypeSpec spec = hydraMSpec();
+    InferenceRunner runner(spec);
+    CardGroup all = CardGroup::contiguous(0, spec.cluster.totalCards());
+    for (const WorkloadModel& wl : {makeResNet18(), makeBertBase()}) {
+        Tick T = runner.run(wl).total.makespan;
+        FaultPlan kill;
+        kill.cardFailAt[1] = T / 3;
+        FaultPlan twoKills = kill;
+        twoKills.cardFailAt[5] = 2 * T / 3;
+        FaultPlan drop;
+        drop.seed = 7;
+        drop.dropRate = 0.01;
+        FaultPlan straggle;
+        straggle.stragglers[2] = 1.5;
+        auto plan = runner.planForJob(wl, all);
+        for (const FaultPlan& faults : {kill, twoKills, drop, straggle}) {
+            std::string ctx = wl.name + " under " + faults.describe();
+            InferenceResult a = runner.run(wl, faults);
+            InferenceResult b = runner.runJob(*plan, all, 0, faults);
+            ASSERT_EQ(a.steps.size(), b.steps.size()) << ctx;
+            for (size_t i = 0; i < a.steps.size(); ++i)
+                EXPECT_EQ(a.steps[i].stats.fingerprint(),
+                          b.steps[i].stats.fingerprint())
+                    << ctx << " step " << i;
+            EXPECT_EQ(a.stepEnds, b.stepEnds) << ctx;
+            EXPECT_EQ(a.failedCards.size(), faults.cardFailAt.size())
+                << ctx;
+            EXPECT_EQ(a.failedCards, b.failedCards) << ctx;
+            EXPECT_EQ(a.redispatches, b.redispatches) << ctx;
+            EXPECT_EQ(a.recoveryPenalty, b.recoveryPenalty) << ctx;
+            EXPECT_EQ(a.total.fingerprint(), b.total.fingerprint())
+                << ctx;
+            EXPECT_EQ(a.error.kind, b.error.kind) << ctx;
+            EXPECT_EQ(a.error.tick, b.error.tick) << ctx;
+        }
+    }
 }
 
 TEST(Degraded, FusedRunSurfacesCardDeathAsError)
