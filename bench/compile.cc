@@ -20,10 +20,17 @@
  *   BM_NetMakespan/<wl>   graph runner end to end; counters export the
  *                         Safe vs Aggressive makespans (the cross-step
  *                         passes' modeled win, tracked across PRs)
+ *   BM_ExecuteUnits<m>    the Procedure-1 executor alone: the
+ *                         precompiled Safe resnet50 unit programs run
+ *                         through ClusterExecutor::tryRun; counters
+ *                         export tasks, ns_per_task and effective_cores
+ *                         (process CPU time over wall time)
  */
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <ctime>
 #include <memory>
 #include <vector>
 
@@ -254,6 +261,43 @@ BM_NetMakespan(benchmark::State& state, const char* machine,
                    : 0.0;
 }
 
+/** Executor host time per task over one machine's precompiled Safe
+ *  resnet50 plan (compile cost excluded). */
+void
+BM_ExecuteUnits(benchmark::State& state, const char* machine)
+{
+    InferenceRunner runner(machineByName(machine));
+    ExecPlan plan = compilePlan(runner.spec(), runner.costModel(),
+                                runner.network(),
+                                modelGraphByName("resnet50"),
+                                OptLevel::Safe);
+    ClusterExecutor ex(runner.spec().cluster, runner.network());
+    uint64_t tasks = 0;
+    for (const ExecUnit& u : plan.units)
+        for (const CardProgram& c : u.compiled->program.cards)
+            tasks += c.compute.size() + c.comm.size();
+    std::clock_t cpu0 = std::clock();
+    auto wall0 = std::chrono::steady_clock::now();
+    for (auto _ : state) {
+        for (const ExecUnit& u : plan.units) {
+            RunResult rr = ex.tryRun(u.compiled->program);
+            if (!rr.ok())
+                state.SkipWithError(rr.error.message.c_str());
+            benchmark::DoNotOptimize(rr.stats.makespan);
+        }
+    }
+    double cpu = static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC;
+    double wall = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - wall0)
+                      .count();
+    double runs = static_cast<double>(state.iterations());
+    state.counters["tasks"] = static_cast<double>(tasks);
+    state.counters["ns_per_task"] =
+        tasks && runs ? wall * 1e9 / (runs * static_cast<double>(tasks))
+                      : 0.0;
+    state.counters["effective_cores"] = wall > 0 ? cpu / wall : 0.0;
+}
+
 void
 BM_PlanM(benchmark::State& state)
 {
@@ -330,6 +374,20 @@ BM_NetMakespanOpt(benchmark::State& state)
     BM_NetMakespan(state, "fab-m", "opt");
 }
 BENCHMARK(BM_NetMakespanOpt)->Unit(benchmark::kMillisecond);
+
+void
+BM_ExecuteUnitsHydraL(benchmark::State& state)
+{
+    BM_ExecuteUnits(state, "hydra-l");
+}
+BENCHMARK(BM_ExecuteUnitsHydraL)->Unit(benchmark::kMillisecond);
+
+void
+BM_ExecuteUnitsFabL(benchmark::State& state)
+{
+    BM_ExecuteUnits(state, "fab-l");
+}
+BENCHMARK(BM_ExecuteUnitsFabL)->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace hydra

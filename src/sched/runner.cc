@@ -209,6 +209,18 @@ InferenceRunner::execFaulted(const PrototypeSpec& sub,
             if (rr.error.kind != RunError::Kind::CardFailed) {
                 // Exhausted retries / deadlock: unrecoverable.
                 result.error = std::move(rr.error);
+                if (result.error.kind == RunError::Kind::TransferFailed) {
+                    // The executor names its local sender; report the
+                    // machine card.
+                    size_t local = result.error.card;
+                    result.error.card = alive[local];
+                    std::string from = strf(" from card %zu ", local);
+                    size_t at = result.error.message.find(from);
+                    if (at != std::string::npos)
+                        result.error.message.replace(
+                            at, from.size(),
+                            strf(" from card %zu ", alive[local]));
+                }
                 return result;
             }
 

@@ -1,9 +1,10 @@
 #include "sync/executor.hh"
 
 #include <algorithm>
+#include <set>
 
 #include "common/logging.hh"
-#include "sim/eventq.hh"
+#include "sync/link.hh"
 
 namespace hydra {
 
@@ -92,31 +93,135 @@ scaleTick(Tick t, double factor)
     return static_cast<Tick>(static_cast<double>(t) * factor);
 }
 
-/** All mutable execution state, local to one run() call. */
+constexpr uint32_t kNone = ProgramLink::kNone;
+
+/** One pending engine event: a plain record, no callback.  `task` is
+ *  a flat index into ProgramLink::compute or ProgramLink::comm. */
+struct Event
+{
+    enum class Kind : uint8_t
+    {
+        /** Re-evaluate one card's two queue heads. */
+        Kick,
+        /** Re-evaluate every card in index order. */
+        KickAll,
+        ComputeDone,
+        RecvReady,
+        TransferDone,
+        TransferFailed,
+        CardFail,
+    };
+    enum class Outcome : uint8_t { Ok, Drop, Timeout, Corrupt };
+
+    Tick when = 0;
+    uint64_t seq = 0;
+    Tick start = 0;
+    uint32_t card = 0;
+    uint32_t task = 0;
+    uint32_t attempt = 0;
+    Kind kind = Kind::Kick;
+    Outcome outcome = Outcome::Ok;
+};
+
+/**
+ * Deterministic event order, the same as EventQueue's (tick, then
+ * insertion): events due now go to a FIFO, later ones to a binary
+ * heap on (tick, seq).  A heap event due now was scheduled before the
+ * clock reached now, so it precedes everything in the FIFO.
+ */
+class EventOrder
+{
+  public:
+    Tick now() const { return now_; }
+    void advanceTo(Tick t) { now_ = t; }
+
+    void
+    push(Tick when, Event e)
+    {
+        if (when == now_) {
+            due_.push_back(e);
+            return;
+        }
+        e.when = when;
+        e.seq = seq_++;
+        heap_.push_back(e);
+        std::push_heap(heap_.begin(), heap_.end(), later);
+    }
+
+    bool
+    pop(Event& e)
+    {
+        if (!heap_.empty() && heap_.front().when == now_) {
+            popHeap(e);
+        } else if (head_ < due_.size()) {
+            e = due_[head_++];
+            if (head_ == due_.size()) {
+                due_.clear();
+                head_ = 0;
+            }
+        } else if (!heap_.empty()) {
+            popHeap(e);
+            now_ = e.when;
+        } else {
+            return false;
+        }
+        return true;
+    }
+
+  private:
+    static bool
+    later(const Event& a, const Event& b)
+    {
+        return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
+
+    void
+    popHeap(Event& e)
+    {
+        std::pop_heap(heap_.begin(), heap_.end(), later);
+        e = heap_.back();
+        heap_.pop_back();
+    }
+
+    std::vector<Event> heap_;
+    std::vector<Event> due_;
+    size_t head_ = 0;
+    Tick now_ = 0;
+    uint64_t seq_ = 0;
+};
+
+/** All mutable execution state, local to one tryRun() call. */
 struct Engine
 {
-    Engine(const Program& prog, const ClusterConfig& cluster,
+    Engine(const Program& prog, const ProgramLink& link,
            const NetworkModel& net, const FaultPlan& plan,
-           const RetryPolicy& retry)
-        : prog(prog), cluster(cluster), net(net), plan(plan),
-          retry(retry),
-          cards(prog.cardCount()),
-          received(prog.cardCount()),
-          overlap(net.overlapsCompute()),
-          faultsActive(!plan.empty())
+           const RetryPolicy& retry, bool record)
+        : prog(prog), link(link), net(net), plan(plan), retry(retry),
+          n(static_cast<uint32_t>(prog.cardCount())),
+          overlap(net.overlapsCompute()), faultsActive(!plan.empty()),
+          record(record), cards(n),
+          cidDone(link.computeIds.size(), 0),
+          slotReady(link.slotCard.size(), 0),
+          slotLanded(link.slotCard.size(), 0),
+          readyCount(link.msgs.size(), 0),
+          attempts(link.msgs.size(), 0),
+          labelTicks(link.labels.size(), 0),
+          labelSeen(link.labels.size(), 0)
     {
-        // Map message -> sender card so ready-posts can kick the sender.
-        for (size_t c = 0; c < prog.cardCount(); ++c)
-            for (const auto& t : prog.cards[c].comm)
-                if (t.kind == CommTask::Kind::Send)
-                    senderOf[t.msg] = c;
+        if (faultsActive)
+            for (uint32_t c = 0; c < n; ++c)
+                cards[c].straggle = plan.stragglerFactor(c);
     }
 
     const Program& prog;
-    const ClusterConfig& cluster;
+    const ProgramLink& link;
     const NetworkModel& net;
     const FaultPlan& plan;
     const RetryPolicy& retry;
+    const uint32_t n;
+    const bool overlap;
+    const bool faultsActive;
+    const bool record;
 
     struct CardState
     {
@@ -125,29 +230,35 @@ struct Engine
         bool computeBusy = false;
         bool commBusy = false;
         bool recvConfigured = false;
+        double straggle = 1.0;
         Tick computeBusyTicks = 0;
         Tick commBusyTicks = 0;
     };
 
-    EventQueue eq;
+    EventOrder q;
     std::vector<CardState> cards;
-    std::vector<std::set<uint64_t>> received; // per card: msgs landed
-    std::set<uint64_t> doneCompute;
-    std::map<uint64_t, std::set<size_t>> readyFor; // msg -> ready cards
-    std::map<uint64_t, size_t> senderOf;
-    std::map<uint64_t, uint32_t> attempts; // msg -> failed attempts
+    /** Cards whose compute pipeline is busy. */
+    uint32_t computing = 0;
+    /** Per dense compute id: has a task with that id finished? */
+    std::vector<uint8_t> cidDone;
+    /** Per recv slot: ready posted / data landed. */
+    std::vector<uint8_t> slotReady;
+    std::vector<uint8_t> slotLanded;
+    /** Per message: ready slots, and failed attempts so far. */
+    std::vector<uint32_t> readyCount;
+    std::vector<uint32_t> attempts;
+    /** Per dense label: compute ticks, and whether any task ran. */
+    std::vector<Tick> labelTicks;
+    std::vector<uint8_t> labelSeen;
     RunStats stats;
     RunError err;
-    bool overlap;
-    bool faultsActive;
     bool halted = false;
-    bool record = false;
     /** Time of the last completed piece of work (drives makespan, so
      *  a post-completion card-kill event cannot inflate it). */
     Tick finishTick = 0;
 
     void
-    emit(size_t card, Tick start, Tick end, TaskEvent::Kind kind,
+    emit(uint32_t card, Tick start, Tick end, TaskEvent::Kind kind,
          uint32_t label)
     {
         if (record)
@@ -158,7 +269,7 @@ struct Engine
     bool
     allDone() const
     {
-        for (size_t c = 0; c < prog.cardCount(); ++c)
+        for (uint32_t c = 0; c < n; ++c)
             if (cards[c].computeIdx != prog.cards[c].compute.size() ||
                 cards[c].commIdx != prog.cards[c].comm.size())
                 return false;
@@ -169,174 +280,168 @@ struct Engine
     halt(RunError e)
     {
         halted = true;
-        finishTick = eq.now();
+        finishTick = q.now();
         err = std::move(e);
     }
 
     void
-    kick(size_t c)
+    schedule(Tick when, Event::Kind kind, uint32_t card,
+             uint32_t task = 0)
     {
-        if (halted)
-            return;
-        eq.scheduleAfter(0, [this, c] {
-            tryCompute(c);
-            tryComm(c);
-        });
+        Event e;
+        e.kind = kind;
+        e.card = card;
+        e.task = task;
+        e.start = q.now();
+        q.push(when, e);
     }
+
+    void kick(uint32_t c) { schedule(q.now(), Event::Kind::Kick, c); }
 
     void
     scheduleCardFailures()
     {
         for (const auto& [card, tick] : plan.cardFailAt) {
-            if (card >= prog.cardCount())
+            if (card >= n)
                 continue;
             // Kill ticks are absolute; with a time origin a kill dated
             // before the run starts fires immediately.
-            eq.schedule(std::max(tick, eq.now()), [this, card = card] {
-                if (halted || allDone())
-                    return; // program already drained; nothing to kill
-                RunError e;
-                e.kind = RunError::Kind::CardFailed;
-                e.card = card;
-                e.tick = eq.now();
-                e.message =
-                    strf("card %zu failed permanently at %.6f s", card,
-                         ticksToSeconds(eq.now()));
-                halt(std::move(e));
-            });
+            schedule(std::max(tick, q.now()), Event::Kind::CardFail,
+                     static_cast<uint32_t>(card));
         }
     }
 
-    bool
-    msgsReceived(size_t c, const std::vector<uint64_t>& msgs) const
+    /** Call fn(slot, card) for each receiver of send `task` on card
+     *  `c`, in card order; returns the receiver count. */
+    template <typename Fn>
+    uint32_t
+    forEachReceiver(uint32_t c, uint32_t task, Fn&& fn) const
     {
-        for (uint64_t m : msgs)
-            if (!received[c].count(m))
-                return false;
-        return true;
+        const ProgramLink::CommLink& l = link.comm[task];
+        const CommTask& t =
+            prog.cards[c].comm[task - link.commBase[c]];
+        if (t.peer != kBroadcast) {
+            fn(l.slot, static_cast<uint32_t>(t.peer));
+            return 1;
+        }
+        for (uint32_t s = link.slotBegin[l.msg];
+             s < link.slotBegin[l.msg + 1]; ++s)
+            if (s != l.selfSlot)
+                fn(s, link.slotCard[s]);
+        return n - 1;
     }
 
     void
-    tryCompute(size_t c)
+    tryCompute(uint32_t c)
     {
-        if (halted)
-            return;
-        auto& st = cards[c];
+        CardState& st = cards[c];
         const auto& queue = prog.cards[c].compute;
         if (st.computeBusy || st.computeIdx >= queue.size())
             return;
         if (!overlap && st.commBusy)
             return; // FAB: data movement blocks the pipeline
-        const ComputeTask& task = queue[st.computeIdx];
-        if (!msgsReceived(c, task.waitMsgs))
-            return; // CT_d waiting for its recv signal
-
-        Tick dur = task.duration;
-        if (faultsActive) {
-            double f = plan.stragglerFactor(c);
-            if (f != 1.0)
-                dur = scaleTick(dur, f);
+        uint32_t flat =
+            link.computeBase[c] + static_cast<uint32_t>(st.computeIdx);
+        const ProgramLink::ComputeLink& l = link.compute[flat];
+        for (uint32_t w = l.waitBegin; w < l.waitEnd; ++w) {
+            uint32_t s = link.waitSlots[w];
+            if (s == kNone || !slotLanded[s])
+                return; // CT_d waiting for its recv signal
         }
+
+        Tick dur = queue[st.computeIdx].duration;
+        if (st.straggle != 1.0)
+            dur = scaleTick(dur, st.straggle);
         st.computeBusy = true;
-        Tick start = eq.now();
-        eq.scheduleAfter(dur, [this, c, &task, start, dur] {
-            if (halted)
-                return;
-            auto& s = cards[c];
-            s.computeBusy = false;
-            s.computeBusyTicks += dur;
-            emit(c, start, eq.now(), TaskEvent::Kind::Compute,
-                 task.label);
-            stats.labelComputeTicks[task.label] += dur;
-            stats.totalCost += task.cost;
-            doneCompute.insert(task.id);
-            ++s.computeIdx;
-            finishTick = eq.now();
-            if (overlap) {
-                kick(c);
-            } else {
-                // Host-mediated mode: remote senders may be blocked on
-                // this card's compute pipeline; re-evaluate everyone.
-                for (size_t r = 0; r < prog.cardCount(); ++r)
-                    kick(r);
-            }
-        });
+        ++computing;
+        schedule(q.now() + dur, Event::Kind::ComputeDone, c, flat);
     }
 
     void
-    tryComm(size_t c)
+    computeDone(const Event& e)
     {
-        if (halted)
-            return;
-        auto& st = cards[c];
+        CardState& s = cards[e.card];
+        const ComputeTask& task = prog.cards[e.card].compute[s.computeIdx];
+        const ProgramLink::ComputeLink& l = link.compute[e.task];
+        Tick dur = q.now() - e.start;
+        s.computeBusy = false;
+        --computing;
+        s.computeBusyTicks += dur;
+        emit(e.card, e.start, q.now(), TaskEvent::Kind::Compute,
+             task.label);
+        labelTicks[l.label] += dur;
+        labelSeen[l.label] = 1;
+        stats.totalCost += task.cost;
+        cidDone[l.cid] = 1;
+        ++s.computeIdx;
+        finishTick = q.now();
+        // Host-mediated mode: remote senders may be blocked on this
+        // card's compute pipeline; re-evaluate everyone, in order.
+        if (overlap)
+            kick(e.card);
+        else
+            schedule(q.now(), Event::Kind::KickAll, e.card);
+    }
+
+    void
+    tryComm(uint32_t c)
+    {
+        CardState& st = cards[c];
         const auto& queue = prog.cards[c].comm;
         if (st.commBusy || st.commIdx >= queue.size())
             return;
+        uint32_t flat =
+            link.commBase[c] + static_cast<uint32_t>(st.commIdx);
         const CommTask& task = queue[st.commIdx];
+        const ProgramLink::CommLink& l = link.comm[flat];
 
         if (task.kind == CommTask::Kind::Recv) {
             if (st.recvConfigured)
                 return; // ready posted; waiting for the sender
             // Configure the DMA, then post ready to the sender.
             st.commBusy = true;
-            eq.scheduleAfter(net.setupLatency(), [this, c, &task] {
-                if (halted)
-                    return;
-                auto& s = cards[c];
-                s.commBusy = false;
-                s.recvConfigured = true;
-                readyFor[task.msg].insert(c);
-                auto it = senderOf.find(task.msg);
-                // An unmatched recv quiesces here and is reported by
-                // the deadlock diagnostics (no abort).
-                if (it != senderOf.end())
-                    kick(it->second);
-            });
+            schedule(q.now() + net.setupLatency(), Event::Kind::RecvReady,
+                     c, flat);
             return;
         }
 
         // Send: needs its payload computed (SAC) and every receiver
         // ready (handshake).
-        if (task.afterCompute != 0 && !doneCompute.count(task.afterCompute))
+        if (l.after != kNone && (l.after == ProgramLink::kDangling ||
+                                 !cidDone[l.after]))
             return;
-        std::vector<size_t> receivers;
-        if (task.peer == kBroadcast) {
-            for (size_t r = 0; r < prog.cardCount(); ++r)
-                if (r != c)
-                    receivers.push_back(r);
-        } else {
-            receivers.push_back(task.peer);
-        }
-        const auto& ready = readyFor[task.msg];
-        for (size_t r : receivers)
-            if (!ready.count(r))
+        const bool bcast = task.peer == kBroadcast;
+        if (bcast) {
+            if (!l.broadcastOk)
                 return;
+            uint32_t selfReady =
+                l.selfSlot != kNone && slotReady[l.selfSlot] ? 1 : 0;
+            if (readyCount[l.msg] - selfReady != n - 1)
+                return;
+        } else if (l.slot == kNone || !slotReady[l.slot]) {
+            return;
+        }
         if (!overlap) {
             // Host-mediated movement engages the FPGA's only DMA path;
             // it cannot start while the pipeline computes.
             if (st.computeBusy)
                 return;
-            for (size_t r : receivers)
-                if (cards[r].computeBusy)
-                    return;
+            if (bcast ? computing != 0 : cards[task.peer].computeBusy)
+                return;
         }
 
-        Tick dur = task.peer == kBroadcast
-                       ? net.broadcastTime(task.bytes, c, prog.cardCount())
-                       : net.transferTime(task.bytes, c, task.peer);
+        Tick dur = bcast ? net.broadcastTime(task.bytes, c, n)
+                         : net.transferTime(task.bytes, c, task.peer);
 
         // Resolve this attempt's fate against the fault plan.  On the
         // fault-free path the outcome is always Ok with the exact wire
         // time, keeping event timing tick-identical to a build without
         // the fault layer.
-        enum class Outcome : uint8_t { Ok, Drop, Timeout, Corrupt };
-        Outcome out = Outcome::Ok;
+        Event::Outcome out = Event::Outcome::Ok;
         uint32_t attempt = 0;
         Tick consumed = dur;
         if (faultsActive) {
-            auto it = attempts.find(task.msg);
-            if (it != attempts.end())
-                attempt = it->second;
+            attempt = attempts[l.msg];
             if (plan.linkDegrade > 1.0)
                 dur = scaleTick(dur, plan.linkDegrade);
             consumed = dur;
@@ -344,125 +449,232 @@ struct Engine
                 // The data never arrives; the DTU's ack timer fires at
                 // the timeout (or at the expected wire time if no
                 // timer is configured).
-                out = Outcome::Drop;
+                out = Event::Outcome::Drop;
                 consumed = retry.timeout ? retry.timeout : dur;
             } else if (retry.timeout && dur > retry.timeout) {
-                out = Outcome::Timeout;
+                out = Event::Outcome::Timeout;
                 consumed = retry.timeout;
             } else if (plan.corruptsTransfer(task.msg, attempt)) {
-                out = Outcome::Corrupt; // checksum fails on arrival
+                out = Event::Outcome::Corrupt; // checksum fails on arrival
             }
         }
 
         st.commBusy = true;
-        for (size_t r : receivers)
-            cards[r].commBusy = true;
-        stats.netBytes += task.bytes * receivers.size();
+        uint32_t receivers =
+            forEachReceiver(c, flat, [this](uint32_t, uint32_t r) {
+                cards[r].commBusy = true;
+            });
+        stats.netBytes += task.bytes * receivers;
         if (attempt == 0)
             ++stats.netMessages;
 
-        Tick t_start = eq.now();
-        if (out == Outcome::Ok) {
-            eq.scheduleAfter(consumed, [this, c, receivers,
-                                        dur = consumed, t_start,
-                                        msg = task.msg] {
-                if (halted)
-                    return;
-                auto& s = cards[c];
-                s.commBusy = false;
-                s.commBusyTicks += dur;
-                emit(c, t_start, eq.now(), TaskEvent::Kind::Transfer, 0);
-                ++s.commIdx;
-                for (size_t r : receivers) {
-                    auto& rs = cards[r];
-                    rs.commBusy = false;
-                    rs.recvConfigured = false;
-                    rs.commBusyTicks += dur;
-                    emit(r, t_start, eq.now(), TaskEvent::Kind::Transfer,
-                         0);
-                    ++rs.commIdx;
-                    received[r].insert(msg);
-                    kick(r);
-                }
-                readyFor.erase(msg);
-                finishTick = eq.now();
-                kick(c);
-            });
+        Event e;
+        e.kind = out == Event::Outcome::Ok ? Event::Kind::TransferDone
+                                           : Event::Kind::TransferFailed;
+        e.card = c;
+        e.task = flat;
+        e.start = q.now();
+        e.attempt = attempt;
+        e.outcome = out;
+        q.push(q.now() + consumed, e);
+    }
+
+    void
+    recvReady(const Event& e)
+    {
+        CardState& s = cards[e.card];
+        s.commBusy = false;
+        s.recvConfigured = true;
+        const ProgramLink::CommLink& l = link.comm[e.task];
+        if (!slotReady[l.slot]) {
+            slotReady[l.slot] = 1;
+            ++readyCount[l.msg];
+        }
+        // An unmatched recv quiesces here and is reported by the
+        // deadlock diagnostics (no abort).
+        if (link.sender[l.msg] != kNone)
+            kick(link.sender[l.msg]);
+    }
+
+    void
+    transferDone(const Event& e)
+    {
+        const uint32_t c = e.card;
+        const Tick now = q.now();
+        const Tick dur = now - e.start;
+        CardState& s = cards[c];
+        s.commBusy = false;
+        s.commBusyTicks += dur;
+        emit(c, e.start, now, TaskEvent::Kind::Transfer, 0);
+        ++s.commIdx;
+        forEachReceiver(c, e.task, [&](uint32_t slot, uint32_t r) {
+            CardState& rs = cards[r];
+            rs.commBusy = false;
+            rs.recvConfigured = false;
+            rs.commBusyTicks += dur;
+            emit(r, e.start, now, TaskEvent::Kind::Transfer, 0);
+            ++rs.commIdx;
+            slotLanded[slot] = 1;
+            kick(r);
+        });
+        // The handshake is consumed: no card stays ready for it.
+        uint32_t m = link.comm[e.task].msg;
+        for (uint32_t slot = link.slotBegin[m]; slot < link.slotBegin[m + 1];
+             ++slot)
+            slotReady[slot] = 0;
+        readyCount[m] = 0;
+        finishTick = now;
+        kick(c);
+    }
+
+    /**
+     * Failed attempt: the wire/DTU stayed occupied for the consumed
+     * ticks; the sender backs off exponentially and retries the same
+     * head-of-queue task.  Receivers keep their DMA configured (ready
+     * state survives a retry).
+     */
+    void
+    transferFailed(const Event& e)
+    {
+        const uint32_t c = e.card;
+        const Tick now = q.now();
+        const Tick consumed = now - e.start;
+        CardState& s = cards[c];
+        s.commBusy = false;
+        s.commBusyTicks += consumed;
+        emit(c, e.start, now, TaskEvent::Kind::Transfer, 0);
+        forEachReceiver(c, e.task, [&](uint32_t, uint32_t r) {
+            CardState& rs = cards[r];
+            rs.commBusy = false;
+            rs.commBusyTicks += consumed;
+            emit(r, e.start, now, TaskEvent::Kind::Transfer, 0);
+        });
+        switch (e.outcome) {
+        case Event::Outcome::Drop:
+            ++stats.droppedTransfers;
+            break;
+        case Event::Outcome::Timeout:
+            ++stats.timedOutTransfers;
+            break;
+        case Event::Outcome::Corrupt:
+            ++stats.corruptedTransfers;
+            break;
+        case Event::Outcome::Ok:
+            break;
+        }
+        finishTick = now;
+        uint32_t next = e.attempt + 1;
+        attempts[link.comm[e.task].msg] = next;
+        if (next >= retry.maxAttempts) {
+            uint64_t msg =
+                prog.cards[c].comm[e.task - link.commBase[c]].msg;
+            RunError err;
+            err.kind = RunError::Kind::TransferFailed;
+            err.card = c;
+            err.msg = msg;
+            err.attempts = next;
+            err.tick = now;
+            err.message = strf(
+                "transfer of msg %llu from card %u failed after "
+                "%u attempt(s) (%llu dropped, %llu corrupted, "
+                "%llu timed out this run)",
+                static_cast<unsigned long long>(msg), c, next,
+                static_cast<unsigned long long>(stats.droppedTransfers),
+                static_cast<unsigned long long>(stats.corruptedTransfers),
+                static_cast<unsigned long long>(stats.timedOutTransfers));
+            halt(std::move(err));
             return;
         }
+        ++stats.retries;
+        Tick backoff = retry.backoffFor(e.attempt);
+        stats.retryBackoffTicks += backoff;
+        schedule(now + backoff, Event::Kind::Kick, c);
+        if (!overlap) {
+            // Freed endpoints may compute during the backoff window;
+            // the sender re-arbitrates at retry time.
+            forEachReceiver(c, e.task,
+                            [this](uint32_t, uint32_t r) { kick(r); });
+        }
+    }
 
-        // Failed attempt: the wire/DTU stays occupied for `consumed`
-        // ticks, then the sender backs off exponentially and retries
-        // the same head-of-queue task.  Receivers keep their DMA
-        // configured (ready state survives a retry).
-        eq.scheduleAfter(consumed, [this, c, receivers, consumed,
-                                    t_start, msg = task.msg, attempt,
-                                    out] {
-            if (halted)
-                return;
-            auto& s = cards[c];
-            s.commBusy = false;
-            s.commBusyTicks += consumed;
-            emit(c, t_start, eq.now(), TaskEvent::Kind::Transfer, 0);
-            for (size_t r : receivers) {
-                auto& rs = cards[r];
-                rs.commBusy = false;
-                rs.commBusyTicks += consumed;
-                emit(r, t_start, eq.now(), TaskEvent::Kind::Transfer, 0);
-            }
-            switch (out) {
-            case Outcome::Drop:
-                ++stats.droppedTransfers;
+    void
+    cardFail(uint32_t card)
+    {
+        if (allDone())
+            return; // program already drained; nothing to kill
+        RunError e;
+        e.kind = RunError::Kind::CardFailed;
+        e.card = card;
+        e.tick = q.now();
+        e.message = strf("card %u failed permanently at %.6f s", card,
+                         ticksToSeconds(q.now()));
+        halt(std::move(e));
+    }
+
+    void
+    evaluate(uint32_t c)
+    {
+        tryCompute(c);
+        tryComm(c);
+    }
+
+    /** Drain the queue; stops at the first structured failure. */
+    void
+    run()
+    {
+        Event e;
+        while (!halted && q.pop(e)) {
+            switch (e.kind) {
+            case Event::Kind::Kick:
+                evaluate(e.card);
                 break;
-            case Outcome::Timeout:
-                ++stats.timedOutTransfers;
+            case Event::Kind::KickAll:
+                for (uint32_t r = 0; r < n; ++r)
+                    evaluate(r);
                 break;
-            case Outcome::Corrupt:
-                ++stats.corruptedTransfers;
+            case Event::Kind::ComputeDone:
+                computeDone(e);
                 break;
-            case Outcome::Ok:
+            case Event::Kind::RecvReady:
+                recvReady(e);
+                break;
+            case Event::Kind::TransferDone:
+                transferDone(e);
+                break;
+            case Event::Kind::TransferFailed:
+                transferFailed(e);
+                break;
+            case Event::Kind::CardFail:
+                cardFail(e.card);
                 break;
             }
-            finishTick = eq.now();
-            uint32_t next = attempt + 1;
-            attempts[msg] = next;
-            if (next >= retry.maxAttempts) {
-                RunError e;
-                e.kind = RunError::Kind::TransferFailed;
-                e.card = c;
-                e.msg = msg;
-                e.attempts = next;
-                e.tick = eq.now();
-                e.message = strf(
-                    "transfer of msg %llu from card %zu failed after "
-                    "%u attempt(s) (%llu dropped, %llu corrupted, "
-                    "%llu timed out this run)",
-                    static_cast<unsigned long long>(msg), c, next,
-                    static_cast<unsigned long long>(
-                        stats.droppedTransfers),
-                    static_cast<unsigned long long>(
-                        stats.corruptedTransfers),
-                    static_cast<unsigned long long>(
-                        stats.timedOutTransfers));
-                halt(std::move(e));
-                return;
-            }
-            ++stats.retries;
-            Tick backoff = retry.backoffFor(attempt);
-            stats.retryBackoffTicks += backoff;
-            eq.scheduleAfter(backoff, [this, c] {
-                if (!halted) {
-                    tryCompute(c);
-                    tryComm(c);
-                }
-            });
-            if (!overlap) {
-                // Freed endpoints may compute during the backoff
-                // window; the sender re-arbitrates at retry time.
-                for (size_t r : receivers)
-                    kick(r);
-            }
-        });
+        }
+    }
+
+    /** Fold the dense per-label ticks into the stats map. */
+    void
+    foldLabels()
+    {
+        for (uint32_t i = 0; i < labelSeen.size(); ++i)
+            if (labelSeen[i])
+                stats.labelComputeTicks.emplace_hint(
+                    stats.labelComputeTicks.end(),
+                    static_cast<uint32_t>(link.labels.id(i)),
+                    labelTicks[i]);
+    }
+
+    bool
+    landed(size_t c, uint64_t msg) const
+    {
+        uint32_t s = link.slotOf(link.msgs.find(msg), c);
+        return s != kNone && slotLanded[s];
+    }
+
+    uint32_t
+    senderOf(uint64_t msg) const
+    {
+        uint32_t m = link.msgs.find(msg);
+        return m == kNone ? kNone : link.sender[m];
     }
 
     /** Build wait-for diagnostics once the queue quiesced undrained. */
@@ -470,7 +682,6 @@ struct Engine
     buildDeadlockReport() const
     {
         DeadlockReport report;
-        const size_t n = prog.cardCount();
 
         // Pending compute ids -> owning card (for SAC blockers).
         std::map<uint64_t, size_t> pendingComputeOwner;
@@ -501,16 +712,16 @@ struct Engine
             if (st.computeIdx < compute.size()) {
                 const ComputeTask& t = compute[st.computeIdx];
                 for (uint64_t m : t.waitMsgs) {
-                    if (received[c].count(m))
+                    if (landed(c, m))
                         continue;
-                    auto s = senderOf.find(m);
-                    if (s != senderOf.end()) {
-                        edges[c].push_back(s->second);
+                    uint32_t s = senderOf(m);
+                    if (s != kNone) {
+                        edges[c].push_back(s);
                         why += strf("compute %llu waits msg %llu from "
-                                    "card %zu; ",
+                                    "card %u; ",
                                     static_cast<unsigned long long>(t.id),
                                     static_cast<unsigned long long>(m),
-                                    s->second);
+                                    s);
                     } else {
                         unmatched.insert(m);
                         why += strf("compute %llu waits msg %llu that "
@@ -522,10 +733,13 @@ struct Engine
             }
             if (st.commIdx < comm.size()) {
                 const CommTask& t = comm[st.commIdx];
+                const ProgramLink::CommLink& l =
+                    link.comm[link.commBase[c] + st.commIdx];
                 auto msgU = static_cast<unsigned long long>(t.msg);
                 if (t.kind == CommTask::Kind::Send) {
-                    if (t.afterCompute != 0 &&
-                        !doneCompute.count(t.afterCompute)) {
+                    if (l.after != kNone &&
+                        (l.after == ProgramLink::kDangling ||
+                         !cidDone[l.after])) {
                         auto o = pendingComputeOwner.find(t.afterCompute);
                         auto idU = static_cast<unsigned long long>(
                             t.afterCompute);
@@ -548,10 +762,9 @@ struct Engine
                         } else if (t.peer < n) {
                             rx.push_back(t.peer);
                         }
-                        auto rit = readyFor.find(t.msg);
                         for (size_t r : rx) {
-                            if (rit != readyFor.end() &&
-                                rit->second.count(r))
+                            uint32_t s = link.slotOf(l.msg, r);
+                            if (s != kNone && slotReady[s])
                                 continue;
                             edges[c].push_back(r);
                             why += strf("send msg %llu waits ready "
@@ -560,12 +773,12 @@ struct Engine
                         }
                     }
                 } else if (st.recvConfigured) {
-                    auto s = senderOf.find(t.msg);
-                    if (s != senderOf.end()) {
-                        edges[c].push_back(s->second);
+                    uint32_t s = senderOf(t.msg);
+                    if (s != kNone) {
+                        edges[c].push_back(s);
                         why += strf("recv msg %llu waits data from "
-                                    "card %zu; ",
-                                    msgU, s->second);
+                                    "card %u; ",
+                                    msgU, s);
                     } else {
                         unmatched.insert(t.msg);
                         why += strf("recv msg %llu has no matching "
@@ -644,32 +857,30 @@ ClusterExecutor::tryRun(const Program& program)
                  program.cardCount(), cluster_.totalCards());
         return res;
     }
-    if (prevalidate_) {
-        auto issues = program.validate();
-        if (!issues.empty()) {
-            res.error.kind = RunError::Kind::InvalidProgram;
-            res.error.message = strf(
-                "program validation found %zu issue(s); first: [%s] %s",
-                issues.size(),
-                programIssueKindName(issues.front().kind),
-                issues.front().detail.c_str());
-            res.error.issues = std::move(issues);
-            return res;
-        }
+    ProgramLink link(program);
+    if (prevalidate_ && !link.issues.empty()) {
+        res.error.kind = RunError::Kind::InvalidProgram;
+        res.error.message = strf(
+            "program validation found %zu issue(s); first: [%s] %s",
+            link.issues.size(),
+            programIssueKindName(link.issues.front().kind),
+            link.issues.front().detail.c_str());
+        res.error.issues = std::move(link.issues);
+        return res;
     }
 
-    Engine eng(program, cluster_, *network_, faults_, retry_);
-    eng.record = recordTimeline_;
-    eng.eq.advanceTo(origin_);
+    Engine eng(program, link, *network_, faults_, retry_,
+               recordTimeline_);
+    eng.q.advanceTo(origin_);
     eng.finishTick = origin_;
     eng.scheduleCardFailures();
-    for (size_t c = 0; c < program.cardCount(); ++c)
+    for (uint32_t c = 0; c < eng.n; ++c)
         eng.kick(c);
-    eng.eq.run();
+    eng.run();
 
     if (eng.err.ok() && !eng.allDone()) {
         eng.err.kind = RunError::Kind::Deadlock;
-        eng.err.tick = eng.eq.now();
+        eng.err.tick = eng.q.now();
         eng.err.deadlock = eng.buildDeadlockReport();
         eng.err.message = strf(
             "deadlock: %zu card(s) quiesced with pending work%s",
@@ -678,6 +889,7 @@ ClusterExecutor::tryRun(const Program& program)
                                            : " (wait-for cycle found)");
     }
 
+    eng.foldLabels();
     eng.stats.makespan = eng.finishTick - origin_;
     eng.stats.computeBusy.resize(program.cardCount());
     eng.stats.commBusy.resize(program.cardCount());

@@ -1,8 +1,5 @@
 #include "sync/task.hh"
 
-#include <map>
-#include <set>
-
 #include "common/logging.hh"
 
 namespace hydra {
@@ -27,119 +24,6 @@ programIssueKindName(ProgramIssue::Kind k)
         return "duplicate-sender";
     }
     return "?";
-}
-
-std::vector<ProgramIssue>
-Program::validate() const
-{
-    std::vector<ProgramIssue> issues;
-    auto add = [&](ProgramIssue::Kind kind, size_t card, uint64_t id,
-                   std::string detail) {
-        issues.push_back(
-            ProgramIssue{kind, card, id, std::move(detail)});
-    };
-
-    const size_t n = cardCount();
-    std::set<uint64_t> computeIds;
-    for (size_t c = 0; c < n; ++c)
-        for (const auto& t : cards[c].compute)
-            computeIds.insert(t.id);
-
-    // Message id -> sender (card, dst) and receivers (card, src).
-    struct SendInfo
-    {
-        size_t card;
-        size_t dst;
-    };
-    std::map<uint64_t, std::vector<SendInfo>> senders;
-    std::map<uint64_t, std::map<size_t, size_t>> recvs; // msg->card->src
-
-    for (size_t c = 0; c < n; ++c) {
-        for (const auto& t : cards[c].comm) {
-            if (t.kind == CommTask::Kind::Send) {
-                if (t.peer != kBroadcast && t.peer >= n)
-                    add(ProgramIssue::Kind::BadPeer, c, t.msg,
-                        strf("send msg %llu to out-of-range card %zu",
-                             (unsigned long long)t.msg, t.peer));
-                else if (t.peer == c)
-                    add(ProgramIssue::Kind::SelfMessage, c, t.msg,
-                        strf("card %zu sends msg %llu to itself", c,
-                             (unsigned long long)t.msg));
-                if (t.afterCompute != 0 && !computeIds.count(t.afterCompute))
-                    add(ProgramIssue::Kind::DanglingAfterCompute, c,
-                        t.afterCompute,
-                        strf("send msg %llu waits on unknown compute id "
-                             "%llu",
-                             (unsigned long long)t.msg,
-                             (unsigned long long)t.afterCompute));
-                senders[t.msg].push_back(SendInfo{c, t.peer});
-            } else {
-                if (t.peer >= n)
-                    add(ProgramIssue::Kind::BadPeer, c, t.msg,
-                        strf("recv msg %llu from out-of-range card %zu",
-                             (unsigned long long)t.msg, t.peer));
-                else if (t.peer == c)
-                    add(ProgramIssue::Kind::SelfMessage, c, t.msg,
-                        strf("card %zu receives msg %llu from itself", c,
-                             (unsigned long long)t.msg));
-                recvs[t.msg][c] = t.peer;
-            }
-        }
-    }
-
-    for (const auto& [msg, infos] : senders) {
-        if (infos.size() > 1) {
-            add(ProgramIssue::Kind::DuplicateSender, infos[1].card, msg,
-                strf("msg %llu has %zu senders",
-                     (unsigned long long)msg, infos.size()));
-            continue;
-        }
-        const SendInfo& s = infos.front();
-        auto rit = recvs.find(msg);
-        if (s.dst == kBroadcast) {
-            for (size_t r = 0; r < n; ++r) {
-                if (r == s.card)
-                    continue;
-                if (rit == recvs.end() || !rit->second.count(r))
-                    add(ProgramIssue::Kind::UnmatchedSend, s.card, msg,
-                        strf("broadcast msg %llu has no recv on card "
-                             "%zu",
-                             (unsigned long long)msg, r));
-            }
-        } else if (s.dst < n) {
-            if (rit == recvs.end() || !rit->second.count(s.dst))
-                add(ProgramIssue::Kind::UnmatchedSend, s.card, msg,
-                    strf("msg %llu to card %zu has no matching recv",
-                         (unsigned long long)msg, s.dst));
-        }
-    }
-
-    for (const auto& [msg, by_card] : recvs) {
-        if (senders.count(msg))
-            continue;
-        for (const auto& [card, src] : by_card) {
-            (void)src;
-            add(ProgramIssue::Kind::UnmatchedRecv, card, msg,
-                strf("recv of msg %llu that no card sends",
-                     (unsigned long long)msg));
-        }
-    }
-
-    for (size_t c = 0; c < n; ++c) {
-        for (const auto& t : cards[c].compute) {
-            for (uint64_t m : t.waitMsgs) {
-                auto rit = recvs.find(m);
-                if (rit == recvs.end() || !rit->second.count(c))
-                    add(ProgramIssue::Kind::WaitOnUnknownMsg, c, m,
-                        strf("compute id %llu waits on msg %llu that "
-                             "card %zu never receives",
-                             (unsigned long long)t.id,
-                             (unsigned long long)m, c));
-            }
-        }
-    }
-
-    return issues;
 }
 
 uint32_t

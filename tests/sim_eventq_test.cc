@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sim/eventq.hh"
 
 namespace hydra {
@@ -44,6 +46,38 @@ TEST(EventQueue, NestedScheduling)
     });
     eq.run();
     EXPECT_EQ(times, (std::vector<Tick>{10, 10, 15}));
+}
+
+/** Callback that counts its copies through a shared counter. */
+struct CopyProbe
+{
+    std::shared_ptr<int> copies = std::make_shared<int>(0);
+
+    CopyProbe() = default;
+    CopyProbe(CopyProbe&&) = default;
+    CopyProbe(const CopyProbe& o) : copies(o.copies) { ++*copies; }
+
+    void operator()() const {}
+};
+
+TEST(EventQueue, StepDoesNotCopyCallbacks)
+{
+    EventQueue eq;
+    CopyProbe probe;
+    std::shared_ptr<int> copies = probe.copies;
+    long live = 0;
+    for (Tick t : {20, 10, 10, 30})
+        eq.schedule(t, CopyProbe(probe));
+    eq.schedule(15, [copies, &live] { live = copies.use_count(); });
+    EXPECT_EQ(*copies, 4); // the four explicit copies above
+    eq.run();
+    // Popping moves each callback out of the heap, so no copy is
+    // made, and a fired callback is released at once: at tick 15 the
+    // references are the test's two, the two probes still queued (20
+    // and 30) and the running callback's own.
+    EXPECT_EQ(*copies, 4);
+    EXPECT_EQ(live, 5);
+    EXPECT_EQ(copies.use_count(), 2);
 }
 
 TEST(EventQueue, ExecutedCountTracks)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/prototypes.hh"
+#include "common/logging.hh"
 #include "sched/execplan.hh"
 #include "sched/runner.hh"
 #include "sync/executor.hh"
@@ -554,6 +555,30 @@ TEST(Degraded, TerminalErrorNamesTheMachineCard)
     EXPECT_EQ(res.error.message.rfind("card 3 failed", 0), 0u)
         << res.error.message;
     EXPECT_EQ(res.failedCards, (std::vector<size_t>{2, 3}));
+}
+
+TEST(Degraded, TerminalTransferErrorNamesTheMachineCard)
+{
+    // Every attempt is dropped, so the first transfer of a job on
+    // cards {2,3} exhausts its retries; the executor names its sender
+    // by local index, the result must name the machine card.
+    PrototypeSpec spec = hydraPrototype("quad", 1, 4);
+    InferenceRunner runner(spec);
+    WorkloadModel wl = toyWorkload();
+    CardGroup group{{2, 3}};
+    auto plan = runner.planForJob(wl, group);
+
+    FaultPlan faults;
+    faults.dropRate = 1.0;
+    InferenceResult res = runner.runJob(*plan, group, 0, faults);
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.error.kind, RunError::Kind::TransferFailed);
+    EXPECT_TRUE(res.error.card == 2 || res.error.card == 3)
+        << res.error.card;
+    EXPECT_NE(res.error.message.find(
+                  strf(" from card %zu failed", res.error.card)),
+              std::string::npos)
+        << res.error.message;
 }
 
 TEST(Degraded, WholeMachineRunEqualsRunJobFromTickZero)
