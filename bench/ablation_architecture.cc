@@ -109,8 +109,8 @@ runWith(const PrototypeSpec& spec, const NetworkModel& net,
     ClusterExecutor executor(spec.cluster, net);
     RunStats total;
     for (const auto& step : wl.steps) {
-        Program prog = compileStep(cost, net, spec.cluster.totalCards(),
-                                   wl.logSlots, spec.mapping, step,
+        Program prog = compileUnit(cost, net, spec.cluster.totalCards(),
+                                   wl.logSlots, spec.mapping, {&step, 1},
                                    OptLevel::None)
                            .program;
         total.append(executor.run(prog), net.stepSyncLatency());

@@ -1,6 +1,6 @@
 /**
  * @file
- * Google-benchmark harness for the schedule compiler (plan -> lower ->
+ * Google-benchmark harness for the schedule compiler (map+price ->
  * optimize -> cache): per-stage wall time over a whole workload's
  * steps, plus the ProgramCache's cold/warm cost split.  Counters
  * export compiled-program shape (tasks, messages) and cache hit rate,
@@ -8,10 +8,11 @@
  * and reuse across PRs.
  *
  * Cases:
- *   BM_Plan/<m>-<wl>      StepMapper::planStep: machine-independent IR
- *   BM_Lower/<m>-<wl>     lowerPlan: bind cost + network models
+ *   BM_Map/<m>-<wl>       StepMapper straight to a priced Program;
+ *                         counters export tasks and effective_cores
  *   BM_Optimize/<m>-<wl>  optimizeProgram at Aggressive (all passes)
  *   BM_CompileCold        full pipeline, cache cleared every iteration
+ *                         (counters include effective_cores)
  *   BM_CompileWarm        full pipeline through a warm ProgramCache
  *   BM_CompileEvict       warm pipeline under a tiny LRU cap: every
  *                         compile misses and evicts (thrash cost)
@@ -32,6 +33,7 @@
 #include <chrono>
 #include <ctime>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "baselines/prototypes.hh"
@@ -58,53 +60,64 @@ struct CompileSetup
     {
     }
 
-    StepMapper
-    mapper() const
+    /** One step as a unit, uncached, at `level`. */
+    Program
+    compile(const Step& step, OptLevel level) const
     {
-        return StepMapper(cost, *net, spec.cluster.totalCards(),
-                          wl.logSlots, spec.mapping);
+        return compileUnit(cost, *net, spec.cluster.totalCards(),
+                           wl.logSlots, spec.mapping, {&step, 1}, level)
+            .program;
+    }
+};
+
+/** Process CPU time over wall time since construction: the effective
+ *  core count of a measurement loop. */
+struct CoreMeter
+{
+    std::clock_t cpu0 = std::clock();
+    std::chrono::steady_clock::time_point wall0 =
+        std::chrono::steady_clock::now();
+
+    double
+    wallSeconds() const
+    {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - wall0)
+            .count();
+    }
+
+    double
+    effectiveCores() const
+    {
+        double wall = wallSeconds();
+        double cpu =
+            static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC;
+        return wall > 0 ? cpu / wall : 0.0;
     }
 };
 
 void
-BM_Plan(benchmark::State& state, const char* machine,
-        const char* workload)
+BM_Map(benchmark::State& state, const char* machine, const char* workload)
 {
     CompileSetup s(machineByName(machine), workload);
-    StepMapper mapper = s.mapper();
-    uint64_t ops = 0;
+    size_t cards = s.spec.cluster.totalCards();
+    StepMapper mapper(s.cost, *s.net, cards, s.wl.logSlots,
+                      s.spec.mapping);
+    uint64_t tasks = 0;
+    CoreMeter meter;
     for (auto _ : state) {
-        ops = 0;
+        tasks = 0;
         for (const auto& step : s.wl.steps) {
-            LogicalPlan plan = mapper.planStep(step);
-            ops += plan.ops.size();
-            benchmark::DoNotOptimize(plan.ops.data());
+            ProgramBuilder pb(cards);
+            mapper.mapStep(pb, step);
+            Program prog = pb.take();
+            tasks += countProgram(prog).computeTasks;
+            benchmark::DoNotOptimize(prog.cards.data());
         }
     }
     state.counters["steps"] = static_cast<double>(s.wl.steps.size());
-    state.counters["plan_ops"] = static_cast<double>(ops);
-}
-
-void
-BM_Lower(benchmark::State& state, const char* machine,
-         const char* workload)
-{
-    CompileSetup s(machineByName(machine), workload);
-    StepMapper mapper = s.mapper();
-    std::vector<LogicalPlan> plans;
-    for (const auto& step : s.wl.steps)
-        plans.push_back(mapper.planStep(step));
-    uint64_t tasks = 0;
-    for (auto _ : state) {
-        tasks = 0;
-        for (const auto& plan : plans) {
-            Program prog = lowerPlan(plan, s.cost, *s.net,
-                                     s.spec.mapping);
-            tasks += countProgram(prog).computeTasks;
-            benchmark::DoNotOptimize(tasks);
-        }
-    }
     state.counters["compute_tasks"] = static_cast<double>(tasks);
+    state.counters["effective_cores"] = meter.effectiveCores();
 }
 
 void
@@ -112,11 +125,9 @@ BM_Optimize(benchmark::State& state, const char* machine,
             const char* workload)
 {
     CompileSetup s(machineByName(machine), workload);
-    StepMapper mapper = s.mapper();
     std::vector<Program> programs;
     for (const auto& step : s.wl.steps)
-        programs.push_back(lowerPlan(mapper.planStep(step), s.cost,
-                                     *s.net, s.spec.mapping));
+        programs.push_back(s.compile(step, OptLevel::None));
     uint64_t changes = 0;
     for (auto _ : state) {
         changes = 0;
@@ -132,6 +143,20 @@ BM_Optimize(benchmark::State& state, const char* machine,
     state.counters["pass_changes"] = static_cast<double>(changes);
 }
 
+/** One step's ProgramCache access, as every plan makes it. */
+std::shared_ptr<const CompiledStep>
+cachedStep(ProgramCache& cache, const CompileSetup& s, const Step& step)
+{
+    std::span<const Step> unit(&step, 1);
+    return cache.getOrCompile(
+        unitKey(s.spec, s.spec.cluster, s.spec.cluster, s.cost.n(),
+                s.wl.logSlots, unit),
+        [&] {
+            return compileUnit(s.cost, *s.net, s.spec.cluster.totalCards(),
+                               s.wl.logSlots, s.spec.mapping, unit);
+        });
+}
+
 /** Full pipeline through the cache; `warm` keeps entries across
  *  iterations (steady-state serving), cold clears them (first job). */
 void
@@ -141,22 +166,13 @@ compileCached(benchmark::State& state, const char* machine,
     CompileSetup s(machineByName(machine), workload);
     ProgramCache& cache = ProgramCache::global();
     auto compileAll = [&] {
-        for (const auto& step : s.wl.steps) {
-            std::string key =
-                stepCacheKey(s.spec, s.spec.cluster, s.spec.cluster,
-                             s.cost.n(), s.wl.logSlots, step);
-            auto compiled = cache.getOrCompile(key, [&] {
-                return compileStep(s.cost, *s.net,
-                                   s.spec.cluster.totalCards(),
-                                   s.wl.logSlots, s.spec.mapping,
-                                   step);
-            });
-            benchmark::DoNotOptimize(compiled.get());
-        }
+        for (const auto& step : s.wl.steps)
+            benchmark::DoNotOptimize(cachedStep(cache, s, step).get());
     };
     if (warm)
         compileAll();
     ProgramCache::Stats before = cache.stats();
+    CoreMeter meter;
     for (auto _ : state) {
         if (!warm) {
             state.PauseTiming();
@@ -176,6 +192,7 @@ compileCached(benchmark::State& state, const char* machine,
                       : 0.0;
     state.counters["cache_evictions"] =
         static_cast<double>(after.evictions - before.evictions);
+    state.counters["effective_cores"] = meter.effectiveCores();
 }
 
 /** Warm-style loop under an LRU cap smaller than the working set:
@@ -186,20 +203,9 @@ BM_CompileEvict(benchmark::State& state)
     CompileSetup s(machineByName("hydra-m"), "resnet18");
     ProgramCache cache; // local: don't poison the global cache
     cache.setCapacity(2);
-    for (auto _ : state) {
-        for (const auto& step : s.wl.steps) {
-            std::string key =
-                stepCacheKey(s.spec, s.spec.cluster, s.spec.cluster,
-                             s.cost.n(), s.wl.logSlots, step);
-            auto compiled = cache.getOrCompile(key, [&] {
-                return compileStep(s.cost, *s.net,
-                                   s.spec.cluster.totalCards(),
-                                   s.wl.logSlots, s.spec.mapping,
-                                   step);
-            });
-            benchmark::DoNotOptimize(compiled.get());
-        }
-    }
+    for (auto _ : state)
+        for (const auto& step : s.wl.steps)
+            benchmark::DoNotOptimize(cachedStep(cache, s, step).get());
     ProgramCache::Stats st = cache.stats();
     state.counters["cache_evictions"] = static_cast<double>(st.evictions);
     state.counters["cache_hit_rate"] = st.hitRate();
@@ -276,8 +282,7 @@ BM_ExecuteUnits(benchmark::State& state, const char* machine)
     for (const ExecUnit& u : plan.units)
         for (const CardProgram& c : u.compiled->program.cards)
             tasks += c.compute.size() + c.comm.size();
-    std::clock_t cpu0 = std::clock();
-    auto wall0 = std::chrono::steady_clock::now();
+    CoreMeter meter;
     for (auto _ : state) {
         for (const ExecUnit& u : plan.units) {
             RunResult rr = ex.tryRun(u.compiled->program);
@@ -286,38 +291,28 @@ BM_ExecuteUnits(benchmark::State& state, const char* machine)
             benchmark::DoNotOptimize(rr.stats.makespan);
         }
     }
-    double cpu = static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC;
-    double wall = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - wall0)
-                      .count();
+    double wall = meter.wallSeconds();
     double runs = static_cast<double>(state.iterations());
     state.counters["tasks"] = static_cast<double>(tasks);
     state.counters["ns_per_task"] =
         tasks && runs ? wall * 1e9 / (runs * static_cast<double>(tasks))
                       : 0.0;
-    state.counters["effective_cores"] = wall > 0 ? cpu / wall : 0.0;
+    state.counters["effective_cores"] = meter.effectiveCores();
 }
 
 void
-BM_PlanM(benchmark::State& state)
+BM_MapM(benchmark::State& state)
 {
-    BM_Plan(state, "hydra-m", "resnet18");
+    BM_Map(state, "hydra-m", "resnet18");
 }
-BENCHMARK(BM_PlanM)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MapM)->Unit(benchmark::kMicrosecond);
 
 void
-BM_PlanFabM(benchmark::State& state)
+BM_MapFabM(benchmark::State& state)
 {
-    BM_Plan(state, "fab-m", "resnet18");
+    BM_Map(state, "fab-m", "resnet18");
 }
-BENCHMARK(BM_PlanFabM)->Unit(benchmark::kMicrosecond);
-
-void
-BM_LowerM(benchmark::State& state)
-{
-    BM_Lower(state, "hydra-m", "resnet18");
-}
-BENCHMARK(BM_LowerM)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MapFabM)->Unit(benchmark::kMicrosecond);
 
 void
 BM_OptimizeM(benchmark::State& state)

@@ -70,8 +70,8 @@ BM_MapAndSimulateConvStep(benchmark::State& state)
     Step step{ProcKind::ConvBN, "conv", 1024, convBnMix(), 12,
               AggKind::BroadcastEach, 0, 1.0, 32};
     for (auto _ : state) {
-        Program prog = compileStep(cost, *net, cards, 15, MappingConfig{},
-                                   step, OptLevel::None)
+        Program prog = compileUnit(cost, *net, cards, 15, MappingConfig{},
+                                   {&step, 1}, OptLevel::None)
                            .program;
         RunStats stats = ex.run(prog);
         benchmark::DoNotOptimize(stats.makespan);

@@ -15,7 +15,7 @@
  *                  comma list: seed=N,drop=P,corrupt=P,degrade=F,
  *                  dropfirst=K,straggle=CARD:F,kill=CARD@SECONDS)
  *                 [--max-attempts N]   (per-transfer retry budget)
- *                 [--dump-program]     (print each step's compiled
+ *                 [--dump-program]     (print each plan unit's compiled
  *                  Program: per-card queue depths, message counts,
  *                  bytes, and the optimizer's pass deltas; no run)
  *                 [--opt LEVEL]        (pass level of the compiled
@@ -87,24 +87,23 @@ parseOptLevel(const std::string& s)
     fatal("unknown opt level '%s' (none|safe|aggressive)", s.c_str());
 }
 
-/** Compile every step and print the per-card program shape plus the
- *  optimizer's pass deltas (the --dump-program flag). */
+/** Compile the plan at `level` and print each unit's per-card program
+ *  shape plus the optimizer's pass deltas (the --dump-program flag):
+ *  exactly the programs a run at that level executes. */
 void
 dumpPrograms(const PrototypeSpec& spec, const WorkloadModel& wl,
              OptLevel level)
 {
     OpCostModel cost(spec.fpga, size_t{1} << 16, spec.dnum);
     std::unique_ptr<NetworkModel> net = spec.makeNetwork();
-    for (size_t si = 0; si < wl.steps.size(); ++si) {
-        const Step& step = wl.steps[si];
-        CompiledStep cs = compileStep(cost, *net,
-                                      spec.cluster.totalCards(),
-                                      wl.logSlots, spec.mapping, step,
-                                      level);
-        std::printf("step %3zu %-24s [%s]\n", si, step.name.c_str(),
-                    procName(step.kind));
-        std::printf("%s\n", describeProgram(cs.program,
-                                            &cs.report).c_str());
+    ExecPlan plan = compilePlan(spec, cost, *net, wl, level);
+    for (size_t ui = 0; ui < plan.units.size(); ++ui) {
+        const ExecUnit& u = plan.units[ui];
+        std::printf("step %3zu %-24s [%s]\n", ui, u.name.c_str(),
+                    procName(u.lead));
+        std::printf("%s\n", describeProgram(u.compiled->program,
+                                            &u.compiled->report)
+                                .c_str());
     }
 }
 

@@ -68,8 +68,8 @@ main(int argc, char** argv)
         executor.setFaultPlan(plan);
     }
     for (const auto& demo : demos) {
-        Program prog = compileStep(cost, net, cards, 15, MappingConfig{},
-                                   demo.step, OptLevel::None)
+        Program prog = compileUnit(cost, net, cards, 15, MappingConfig{},
+                                   {&demo.step, 1}, OptLevel::None)
                            .program;
         RunResult rr = executor.tryRun(prog);
         if (!rr.ok()) {

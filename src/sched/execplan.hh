@@ -3,34 +3,30 @@
  * The unified compiled-execution-plan abstraction (DESIGN.md §16).
  *
  * An ExecPlan is the one executable artifact both execution worlds
- * compile to: an ordered sequence of units, each carrying its member
- * steps, its ProgramCache key and (when materialized) its compiled
- * Program, plus the plan's opt-level provenance.  compilePlan()
- * subsumes the two historical entry points:
- *
- *  - the step-list path (InferenceRunner::run / runJob): at
- *    OptLevel::None/Safe every step becomes one Single unit keyed by
- *    stepCacheKey — the exact keys the pre-ExecPlan runner used, so
- *    cache populations and tick streams are bit-identical;
- *  - the graph path (partitionNetwork): at OptLevel::Aggressive the
- *    cross-step passes (boot-plan, fuse-linear, prefetch) partition
- *    the network into possibly multi-layer units via
- *    the partition, keyed by unitCacheKey.
+ * compile to: an ordered sequence of ExecUnits, each carrying its
+ * member steps and (when materialized) its compiled Program, plus the
+ * plan's opt-level provenance.  There is one compile path: a
+ * WorkloadModel is lifted to its chain NetworkGraph, and
+ * partitionNetwork cuts the graph into units — one Single unit per
+ * layer at OptLevel::None/Safe, possibly multi-layer Fused/Prefetch
+ * units after the Aggressive cross-step passes.  Every unit compiles
+ * through the ProgramCache under unitKey(), so a single-layer unit
+ * shares its entry with every other plan holding the same step.
  *
  * Unit boundaries generalize step boundaries: everything downstream
  * that used to index steps (resumable first_step windows, cake's
  * preemption slices, federation's checkpointed failover, the
  * fault-free JobCache) indexes units of the tenant's plan instead.
- * The Aggressive partition is a pure function of (workload content,
- * network kind) — NOT of the executing card count — so every card
- * group of one machine agrees on unit boundaries for a given
- * (workload, level), which is what makes unit indices meaningful
- * across dispatch, preemption and failover.
+ * The partition is a pure function of (workload content, network
+ * kind) — NOT of the executing card count — so every card group of
+ * one machine agrees on unit boundaries for a given (workload, level),
+ * which is what makes unit indices meaningful across dispatch,
+ * preemption and failover.
  *
  * A plan can be *materialized* (programs compiled up front, one
  * ProgramCache access per unit at build time) or a *skeleton*
- * (PlanWindow::none(): keys only; drivers resolve programs on demand
- * via compilePlanUnit, which is also the degraded re-dispatch path
+ * (PlanWindow::none(): units without programs; drivers resolve them on
+ * demand via cachedUnit, which is also the degraded re-dispatch path
  * where the executing cluster shrank under the plan).
  */
 
@@ -46,29 +42,8 @@
 
 namespace hydra {
 
-/** One schedulable unit of an ExecPlan: one or more layers executing
- *  as a single Program (no internal sync barrier, one checkpoint
- *  boundary at the end). */
-struct ExecUnit
-{
-    NetUnit::Kind kind = NetUnit::Kind::Single;
-    /** Display name: the single layer, or "first..last". */
-    std::string name;
-    /** Procedure kind of the leading layer (roll-up display). */
-    ProcKind lead = ProcKind::ConvBN;
-    /** Member steps in execution order (post-pass content).  Carried
-     *  by value so a shrunken cluster can recompile the unit without
-     *  the original workload/graph in hand. */
-    std::vector<Step> steps;
-    /** ProgramCache key for the plan's own cluster. */
-    std::string key;
-    /** Compiled program; null in skeleton plans (resolve on demand
-     *  through compilePlanUnit). */
-    std::shared_ptr<const CompiledStep> compiled;
-};
-
 /** Which units of a plan get their programs materialized at
- *  compilePlan() time.  Units outside the window still get keys. */
+ *  compilePlan() time. */
 struct PlanWindow
 {
     static constexpr size_t npos = static_cast<size_t>(-1);
@@ -108,12 +83,8 @@ struct ExecPlan
     size_t size() const { return units.size(); }
 };
 
-/**
- * Compile `workload` for `spec`'s machine at `level`.  None/Safe take
- * the step-list path (one Single unit per step, legacy cache keys);
- * Aggressive lifts the workload to a NetworkGraph chain and applies
- * the cross-step passes.
- */
+/** Compile `workload` for `spec`'s machine at `level`: the graph
+ *  overload on NetworkGraph::fromModel(workload). */
 ExecPlan compilePlan(const PrototypeSpec& spec, const OpCostModel& cost,
                      const NetworkModel& net,
                      const WorkloadModel& workload,
@@ -131,23 +102,10 @@ ExecPlan compilePlan(const PrototypeSpec& spec, const OpCostModel& cost,
                      PlanWindow window = PlanWindow::all());
 
 /**
- * Resolve one unit's Program through the shared ProgramCache for an
- * executing (sub-)cluster.  With exec_cluster == the plan's own
- * cluster this returns exactly what materialization stored; with a
- * smaller cluster (degraded re-dispatch) it compiles under the
- * surviving card count while keeping the plan's network model.
- */
-std::shared_ptr<const CompiledStep>
-compilePlanUnit(const PrototypeSpec& spec,
-                const ClusterConfig& exec_cluster,
-                const ClusterConfig& net_cluster, const OpCostModel& cost,
-                const NetworkModel& net, size_t log_slots,
-                const ExecUnit& unit, OptLevel level);
-
-/**
  * The number of units `workload` partitions into at `level` on
- * `spec`'s machine — computed without compiling any Program.  Shape-
- * invariant: card groups of the machine see the same count.
+ * `spec`'s machine — the partition's size, computed without compiling
+ * any Program.  Shape-invariant: card groups of the machine see the
+ * same count.
  */
 size_t planUnitCount(const PrototypeSpec& spec, const OpCostModel& cost,
                      const NetworkModel& net,

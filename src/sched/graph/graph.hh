@@ -1,7 +1,7 @@
 /**
  * @file
- * NetworkGraph: the whole-network IR of the graph compiler, one level
- * above the per-step LogicalPlan (DESIGN.md §15).
+ * NetworkGraph: the whole-network IR every plan compiles from
+ * (DESIGN.md §15); partitionNetwork cuts it into ExecUnits.
  *
  * A node is one schedulable layer (a workloads/model.hh Step) annotated
  * with the level metadata the cross-step passes need: the modulus-chain

@@ -1,21 +1,11 @@
 #include "sched/graph/netcompile.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.hh"
 
 namespace hydra {
-
-const char*
-netUnitKindName(NetUnit::Kind k)
-{
-    switch (k) {
-      case NetUnit::Kind::Single: return "single";
-      case NetUnit::Kind::Fused: return "fused";
-      case NetUnit::Kind::Prefetch: return "prefetch";
-    }
-    return "?";
-}
 
 std::string
 NetOptReport::describe() const
@@ -33,20 +23,6 @@ NetOptReport::describe() const
                 static_cast<unsigned long long>(relevelled),
                 static_cast<unsigned long long>(fusedSteps),
                 static_cast<unsigned long long>(prefetchedBoundaries));
-}
-
-std::string
-unitCacheKey(const PrototypeSpec& spec, const ClusterConfig& exec_cluster,
-             const ClusterConfig& net_cluster, size_t ring_n,
-             size_t log_slots, const std::vector<const Step*>& members,
-             NetUnit::Kind kind, OptLevel level)
-{
-    std::string key = machineCacheKey(spec, exec_cluster, net_cluster,
-                                      ring_n, log_slots, level);
-    for (const Step* s : members)
-        key += stepContentKey(*s);
-    key += strf("|u=%s,%zu", netUnitKindName(kind), members.size());
-    return key;
 }
 
 namespace {
@@ -141,10 +117,10 @@ bootPlanPass(const std::vector<Step>& in, size_t max_limbs,
 
 } // namespace
 
-NetPartition
+std::vector<ExecUnit>
 partitionNetwork(const PrototypeSpec& spec, const OpCostModel& cost,
                  const NetworkModel& net, const NetworkGraph& graph,
-                 OptLevel level)
+                 OptLevel level, NetOptReport& report)
 {
     std::vector<uint32_t> order;
     SpecError err;
@@ -157,19 +133,18 @@ partitionNetwork(const PrototypeSpec& spec, const OpCostModel& cost,
     for (uint32_t id : order)
         steps.push_back(graph.nodes[id].step);
 
-    NetPartition out;
-    out.report.level = level;
+    report = NetOptReport{};
+    report.level = level;
     size_t cards = spec.cluster.totalCards();
     bool aggressive = level == OptLevel::Aggressive;
 
     if (aggressive)
         steps = bootPlanPass(steps, graph.maxLimbs, graph.logSlots,
-                             cost, net, spec.mapping, cards,
-                             out.report);
+                             cost, net, spec.mapping, cards, report);
 
     // Unit partition: fuse-linear groups first, then prefetch windows
     // over the resulting unit list.
-    std::vector<NetUnit> units;
+    std::vector<ExecUnit> units;
     size_t n = steps.size();
     for (size_t i = 0; i < n;) {
         if (aggressive && fusableHead(steps[i].kind)) {
@@ -179,29 +154,29 @@ partitionNetwork(const PrototypeSpec& spec, const OpCostModel& cost,
             if (j < n && steps[j].kind == ProcKind::FC)
                 ++j; // a terminal FC joins the linear group
             if (j - i >= 2) {
-                NetUnit u;
-                u.kind = NetUnit::Kind::Fused;
+                ExecUnit u;
+                u.kind = ExecUnit::Kind::Fused;
                 u.lead = steps[i].kind;
+                u.name = steps[i].name + ".." + steps[j - 1].name;
                 for (size_t k = i; k < j; ++k) {
-                    u.nodes.push_back(static_cast<uint32_t>(k));
                     // Intermediate outputs stay card-local: the next
                     // member's co-resident units consume them without
                     // the cross-card broadcast.
                     if (k + 1 < j && steps[k].agg != AggKind::None) {
                         steps[k].agg = AggKind::None;
-                        ++out.report.fusedSteps;
+                        ++report.fusedSteps;
                     }
+                    u.steps.push_back(std::move(steps[k]));
                 }
-                u.name = steps[i].name + ".." + steps[j - 1].name;
                 units.push_back(std::move(u));
                 i = j;
                 continue;
             }
         }
-        NetUnit u;
+        ExecUnit u;
         u.lead = steps[i].kind;
         u.name = steps[i].name;
-        u.nodes.push_back(static_cast<uint32_t>(i));
+        u.steps.push_back(std::move(steps[i]));
         units.push_back(std::move(u));
         ++i;
     }
@@ -210,70 +185,34 @@ partitionNetwork(const PrototypeSpec& spec, const OpCostModel& cost,
         // Prefetch: merge up to kPrefetchWindow consecutive units when
         // the earlier unit ends in a cross-card aggregation (there is a
         // transfer to hide) and neither side is a bootstrap barrier.
-        std::vector<NetUnit> merged;
+        std::vector<ExecUnit> merged;
         for (size_t i = 0; i < units.size();) {
-            NetUnit u = std::move(units[i]);
+            ExecUnit u = std::move(units[i]);
             size_t j = i + 1;
-            while (j < units.size() &&
-                   j - i < kPrefetchWindow) {
-                const Step& last = steps[u.nodes.back()];
-                const Step& head = steps[units[j].nodes.front()];
+            while (j < units.size() && j - i < kPrefetchWindow) {
+                const Step& last = u.steps.back();
+                const Step& head = units[j].steps.front();
                 if (last.kind == ProcKind::Bootstrap ||
                     head.kind == ProcKind::Bootstrap ||
                     last.agg == AggKind::None)
                     break;
-                u.nodes.insert(u.nodes.end(), units[j].nodes.begin(),
-                               units[j].nodes.end());
-                u.kind = NetUnit::Kind::Prefetch;
-                ++out.report.prefetchedBoundaries;
+                u.steps.insert(u.steps.end(),
+                               std::make_move_iterator(
+                                   units[j].steps.begin()),
+                               std::make_move_iterator(
+                                   units[j].steps.end()));
+                u.kind = ExecUnit::Kind::Prefetch;
+                ++report.prefetchedBoundaries;
                 ++j;
             }
-            if (u.kind == NetUnit::Kind::Prefetch)
-                u.name = steps[u.nodes.front()].name + ".." +
-                         steps[u.nodes.back()].name;
+            if (u.kind == ExecUnit::Kind::Prefetch)
+                u.name = u.steps.front().name + ".." + u.steps.back().name;
             merged.push_back(std::move(u));
             i = j;
         }
         units = std::move(merged);
     }
-
-    out.steps = std::move(steps);
-    out.units = std::move(units);
-    return out;
-}
-
-std::shared_ptr<const CompiledStep>
-compileNetUnit(const PrototypeSpec& spec,
-               const ClusterConfig& exec_cluster,
-               const ClusterConfig& net_cluster, const OpCostModel& cost,
-               const NetworkModel& net, size_t log_slots,
-               const std::vector<const Step*>& members,
-               NetUnit::Kind kind, OptLevel level)
-{
-    size_t cards = exec_cluster.totalCards();
-    std::string key;
-    if (members.size() == 1)
-        key = stepCacheKey(spec, exec_cluster, net_cluster, cost.n(),
-                           log_slots, *members[0], level);
-    else
-        key = unitCacheKey(spec, exec_cluster, net_cluster, cost.n(),
-                           log_slots, members, kind, level);
-    return ProgramCache::global().getOrCompile(key, [&] {
-        if (members.size() == 1)
-            return compileStep(cost, net, cards, log_slots,
-                               spec.mapping, *members[0], level);
-        StepMapper mapper(cost, net, cards, log_slots, spec.mapping);
-        PlanBuilder pb(cards);
-        pb.setLogSlots(log_slots);
-        for (const Step* s : members)
-            mapper.planStepInto(pb, *s);
-        CompiledStep cs;
-        Program prog = lowerPlan(pb.take(), cost, net, spec.mapping);
-        cs.program = optimizeProgram(std::move(prog), level,
-                                     net.overlapsCompute(),
-                                     &cs.report);
-        return cs;
-    });
+    return units;
 }
 
 } // namespace hydra

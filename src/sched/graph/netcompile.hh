@@ -1,14 +1,12 @@
 /**
  * @file
- * Network-level compilation: cross-step passes over a NetworkGraph,
- * lowering to per-unit Programs through the PR 5 step machinery
- * (plan -> lower -> optimize -> cache) — DESIGN.md §15.
+ * Network-level partition: cross-step passes over a NetworkGraph that
+ * cut it into ExecUnits, each compiled later by the unit compiler
+ * (sched/progcache.hh) — DESIGN.md §15.
  *
- * At OptLevel::None and Safe the network compiler is a pure chain
- * walker: one unit per layer, each compiled exactly like
- * InferenceRunner::run() compiles a step (same ProgramCache keys), so
- * the executed tick stream is bit-identical to the step-at-a-time
- * path.  OptLevel::Aggressive enables the cross-step passes:
+ * At OptLevel::None and Safe the partition is a pure chain walker: one
+ * Single unit per layer, in topological order.  OptLevel::Aggressive
+ * enables the cross-step passes:
  *
  *  - boot-plan: the paper's Eq. 1 level model generalized across
  *    steps.  Walks the chain tracking the modulus level from maxLimbs
@@ -28,7 +26,13 @@
  *    unit N's compute and transfers hide under it (the Section IV-D
  *    fused mode, applied in bounded windows).  Bootstrap boundaries
  *    stay barriers.  InferenceRunner::runFused is the unbounded case:
- *    the whole workload as one Prefetch unit at OptLevel::None.
+ *    the whole workload as one unit at OptLevel::None.
+ *
+ * The partition is a pure function of the graph content and the
+ * machine's network kind — it does NOT depend on the executing card
+ * count, so every card group of one machine sees the same unit
+ * boundaries for a given (workload, level) pair (the serving layer's
+ * resumable unit indices rely on this).
  */
 
 #ifndef HYDRA_SCHED_GRAPH_NETCOMPILE_HH
@@ -46,13 +50,14 @@ namespace hydra {
 /** Max units one prefetch window merges into a single Program. */
 constexpr size_t kPrefetchWindow = 4;
 
-/** One schedulable unit of a compiled network: one or more layers
- *  sharing a single Program (and hence no internal sync barrier). */
-struct NetUnit
+/** One schedulable unit of an ExecPlan (sched/execplan.hh): one or
+ *  more layers executing as a single Program (no internal sync
+ *  barrier, one checkpoint boundary at the end). */
+struct ExecUnit
 {
     enum class Kind : uint8_t
     {
-        Single,   ///< one layer, step-compiler semantics
+        Single,   ///< one layer
         Fused,    ///< fuse-linear group (intermediate broadcasts gone)
         Prefetch, ///< prefetch window (transfers hide under compute)
     };
@@ -62,12 +67,14 @@ struct NetUnit
     std::string name;
     /** Procedure kind of the leading layer (roll-up display). */
     ProcKind lead = ProcKind::ConvBN;
-    /** Indices of the members, in execution order, into
-     *  NetPartition::steps. */
-    std::vector<uint32_t> nodes;
+    /** Member steps in execution order (post-pass content).  Carried
+     *  by value so a shrunken cluster can recompile the unit without
+     *  the original workload/graph in hand. */
+    std::vector<Step> steps;
+    /** Compiled program; null in skeleton plans (resolved on demand
+     *  through cachedUnit). */
+    std::shared_ptr<const CompiledStep> compiled;
 };
-
-const char* netUnitKindName(NetUnit::Kind k);
 
 /** Cross-step pass statistics. */
 struct NetOptReport
@@ -97,57 +104,16 @@ struct NetOptReport
     std::string describe() const;
 };
 
-/**
- * The partition stage of network compilation, exposed separately so
- * the ExecPlan layer (sched/execplan.hh) can compute a plan's unit
- * boundaries without materializing any Program: the post-pass step
- * list in execution order, its unit partition, and the pass report.
- * The partition is a pure function of the graph content and the
- * machine's network kind — it does NOT depend on the executing card
- * count, so every card group of one machine sees the same unit
- * boundaries for a given (workload, level) pair (the serving layer's
- * resumable unit indices rely on this).
- */
-struct NetPartition
-{
-    /** Post-pass steps, in execution order (boot-plan rewrites
-     *  applied); unit node ids index into this. */
-    std::vector<Step> steps;
-    std::vector<NetUnit> units;
-    NetOptReport report;
-};
-
-/** Run the cross-step passes and unit partition without compiling any
- *  Program.  The graph must topo-order (fatals on a cycle; callers
+/** Run the cross-step passes and cut the post-pass step list into
+ *  units, without compiling any Program; `report` receives the pass
+ *  statistics.  The graph must topo-order (fatals on a cycle; callers
  *  validate() first and report the SpecError). */
-NetPartition partitionNetwork(const PrototypeSpec& spec,
-                              const OpCostModel& cost,
-                              const NetworkModel& net,
-                              const NetworkGraph& graph,
-                              OptLevel level = OptLevel::Safe);
-
-/**
- * Compile one unit of a partition through the shared ProgramCache for
- * an executing (sub-)cluster: single-member units use the step
- * compiler's exact stepCacheKey (shared with InferenceRunner::run());
- * multi-member units use unitCacheKey.  `exec_cluster` may be smaller
- * than `net_cluster` (the degraded re-dispatch path).
- */
-std::shared_ptr<const CompiledStep>
-compileNetUnit(const PrototypeSpec& spec,
-               const ClusterConfig& exec_cluster,
-               const ClusterConfig& net_cluster, const OpCostModel& cost,
-               const NetworkModel& net, size_t log_slots,
-               const std::vector<const Step*>& members,
-               NetUnit::Kind kind, OptLevel level);
-
-/** Cache key of a multi-layer unit (exposed for tests). */
-std::string unitCacheKey(const PrototypeSpec& spec,
-                         const ClusterConfig& exec_cluster,
-                         const ClusterConfig& net_cluster, size_t ring_n,
-                         size_t log_slots,
-                         const std::vector<const Step*>& members,
-                         NetUnit::Kind kind, OptLevel level);
+std::vector<ExecUnit> partitionNetwork(const PrototypeSpec& spec,
+                                       const OpCostModel& cost,
+                                       const NetworkModel& net,
+                                       const NetworkGraph& graph,
+                                       OptLevel level,
+                                       NetOptReport& report);
 
 } // namespace hydra
 

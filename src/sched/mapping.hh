@@ -1,9 +1,11 @@
 /**
  * @file
- * Task decomposition and mapping strategies (paper Section III) —
- * stage 1 ("plan") of the schedule compiler.
+ * Task decomposition and mapping strategies (paper Section III): the
+ * map+price stage of the schedule compiler.
  *
- * Turns one workload Step into a machine-independent LogicalPlan:
+ * Writes one workload Step straight into a ProgramBuilder, pricing
+ * every compute op with the bound OpCostModel as it is emitted and
+ * sizing every transfer in bytes:
  *  - ConvBN / Pooling: kernel units split across cards, each chunk's
  *    outputs broadcast round-robin so transfers hide under the next
  *    chunk's compute (Fig. 1 + Fig. 2);
@@ -17,19 +19,20 @@
  *    EvaExp, leader-local double-angle -- with Radix/bs chosen by the
  *    Eq. 1 optimizer.
  *
- * The plan is machine-independent: lowering (sched/lower.hh) binds the
- * cost and network models, and compileStep / compileNetUnit
- * (sched/progcache.hh, sched/graph/netcompile.hh) compose plan, lower
- * and optimize, with caching.
+ * compileUnit (sched/progcache.hh) maps a unit's member steps into one
+ * builder and runs the optimizer passes; the ProgramCache reuses the
+ * result.
  */
 
 #ifndef HYDRA_SCHED_MAPPING_HH
 #define HYDRA_SCHED_MAPPING_HH
 
+#include <initializer_list>
+#include <vector>
+
 #include "arch/network.hh"
 #include "arch/opcost.hh"
 #include "model/dft_model.hh"
-#include "sched/plan.hh"
 #include "sync/task.hh"
 #include "workloads/model.hh"
 
@@ -48,7 +51,15 @@ struct MappingConfig
     size_t dftLevels = 3;
 };
 
-/** Builds per-step plans for one (machine, workload) pair. */
+/**
+ * Single-card wall time of one full bootstrap (2 DFT stacks + EvaExp +
+ * double-angle) under the given models.
+ */
+Tick bootstrapLocalTicks(const OpCostModel& cost, const NetworkModel& net,
+                         const MappingConfig& config, size_t log_slots,
+                         size_t limbs);
+
+/** Maps steps onto the cards of one (machine, workload) pair. */
 class StepMapper
 {
   public:
@@ -57,21 +68,14 @@ class StepMapper
                MappingConfig config = {});
 
     /**
-     * Decompose one step into a machine-independent LogicalPlan.  The
-     * bootstrap DFT structure (Eq. 1 Radix/bs) is frozen with this
-     * mapper's cost/network models; everything else in the plan is
-     * model-free.
+     * Append one step's tasks to `pb` (which must span this mapper's
+     * cards), priced under this mapper's models.  A multi-member unit
+     * maps all its steps into one builder; the fused scheduling mode
+     * (paper Section IV-D: "multiple tasks can be loaded into each
+     * FPGA's task queue at once") is the whole workload as one such
+     * unit.
      */
-    LogicalPlan planStep(const Step& step) const;
-
-    /**
-     * Append one step's plan ops to an existing plan builder.  A
-     * multi-member unit plans all its steps into one builder; the fused
-     * scheduling mode (paper Section IV-D: "multiple tasks can be
-     * loaded into each FPGA's task queue at once") is the whole
-     * workload as one such unit.
-     */
-    void planStepInto(PlanBuilder& pb, const Step& step) const;
+    void mapStep(ProgramBuilder& pb, const Step& step) const;
 
     /** Single-card time of one full bootstrap (used for data-parallel
      *  bootstrap scheduling and for Fig. 9 style analyses). */
@@ -83,17 +87,42 @@ class StepMapper
     const MappingConfig& config() const { return config_; }
 
   private:
-    void planUniform(PlanBuilder& pb, const Step& step) const;
-    void planNonLinear(PlanBuilder& pb, const Step& step) const;
+    /** One HeOp term of a compute op.  `timed`/`costed` express
+     *  asymmetric accounting: the bootstrap double-angle step times
+     *  rot+ha+pm but charges only the CMult iterations to energy. */
+    struct Term
+    {
+        HeOpType op = HeOpType::HAdd;
+        uint64_t count = 0;
+        bool timed = true;
+        bool costed = true;
+    };
+
+    /** Append a compute op priced as the sum of its terms at `limbs`.
+     *  Zero-count terms still max-merge their limbs into the cost. */
+    uint64_t addOps(ProgramBuilder& pb, size_t card,
+                    std::initializer_list<Term> terms, size_t limbs,
+                    uint32_t label,
+                    std::vector<uint64_t> wait_msgs = {}) const;
+
+    /** Bytes of `cts` ciphertexts at `limbs`. */
+    uint64_t
+    ctBytes(uint64_t cts, size_t limbs) const
+    {
+        return cts * cost_.ciphertextBytes(limbs);
+    }
+
+    void mapUniform(ProgramBuilder& pb, const Step& step) const;
+    void mapNonLinear(ProgramBuilder& pb, const Step& step) const;
     /** Alg. 1 on the card range [base, base + group). */
-    void planPolyEvalTree(PlanBuilder& pb, size_t base, size_t group,
-                          size_t degree, size_t limbs,
-                          uint32_t label) const;
-    void planBootstrap(PlanBuilder& pb, const Step& step) const;
+    void mapPolyEvalTree(ProgramBuilder& pb, size_t base, size_t group,
+                         size_t degree, size_t limbs,
+                         uint32_t label) const;
+    void mapBootstrap(ProgramBuilder& pb, const Step& step) const;
     /** One BSGS DFT stack (C2S or S2C) on a card group. */
-    void planDftLevels(PlanBuilder& pb, size_t base, size_t group,
-                       const DftPlan& plan, size_t limbs,
-                       uint32_t label) const;
+    void mapDftLevels(ProgramBuilder& pb, size_t base, size_t group,
+                      const DftPlan& plan, size_t limbs,
+                      uint32_t label) const;
 
     const OpCostModel& cost_;
     const NetworkModel& net_;

@@ -7,15 +7,17 @@
 namespace hydra {
 
 CompiledStep
-compileStep(const OpCostModel& cost, const NetworkModel& net,
+compileUnit(const OpCostModel& cost, const NetworkModel& net,
             size_t cards, size_t log_slots, const MappingConfig& mapping,
-            const Step& step, OptLevel level)
+            std::span<const Step> steps, OptLevel level)
 {
     StepMapper mapper(cost, net, cards, log_slots, mapping);
+    ProgramBuilder pb(cards);
+    for (const Step& s : steps)
+        mapper.mapStep(pb, s);
     CompiledStep out;
-    Program prog = lowerPlan(mapper.planStep(step), cost, net, mapping);
-    out.program = optimizeProgram(std::move(prog), level,
-                                  net.overlapsCompute(), &out.report);
+    out.program = optimizeProgram(pb.take(), level, net.overlapsCompute(),
+                                  &out.report);
     return out;
 }
 
@@ -67,13 +69,15 @@ stepContentKey(const Step& step)
 }
 
 std::string
-stepCacheKey(const PrototypeSpec& spec, const ClusterConfig& exec_cluster,
-             const ClusterConfig& net_cluster, size_t ring_n,
-             size_t log_slots, const Step& step, OptLevel level)
+unitKey(const PrototypeSpec& spec, const ClusterConfig& exec_cluster,
+        const ClusterConfig& net_cluster, size_t ring_n, size_t log_slots,
+        std::span<const Step> steps, OptLevel level)
 {
-    return machineCacheKey(spec, exec_cluster, net_cluster, ring_n,
-                           log_slots, level) +
-           stepContentKey(step);
+    std::string key = machineCacheKey(spec, exec_cluster, net_cluster,
+                                      ring_n, log_slots, level);
+    for (const Step& s : steps)
+        key += stepContentKey(s);
+    return key;
 }
 
 ProgramCache&
@@ -176,6 +180,21 @@ ProgramCache::trimLocked()
         lru_.pop_back();
         ++evictions_;
     }
+}
+
+std::shared_ptr<const CompiledStep>
+cachedUnit(const PrototypeSpec& spec, const ClusterConfig& exec_cluster,
+           const ClusterConfig& net_cluster, const OpCostModel& cost,
+           const NetworkModel& net, size_t log_slots,
+           std::span<const Step> steps, OptLevel level)
+{
+    return ProgramCache::global().getOrCompile(
+        unitKey(spec, exec_cluster, net_cluster, cost.n(), log_slots,
+                steps, level),
+        [&] {
+            return compileUnit(cost, net, exec_cluster.totalCards(),
+                               log_slots, spec.mapping, steps, level);
+        });
 }
 
 } // namespace hydra

@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared compiled-program cache: the reuse layer of the schedule
- * compiler (plan -> lower -> optimize -> cache).
+ * The unit compiler and the shared compiled-program cache: the schedule
+ * compiler is one stage, map+price -> optimize -> cache.
  *
  * The paper's host software preloads instruction streams (Section
  * IV-D); compiling one is pure — a Program depends only on the cost
@@ -16,9 +16,11 @@
  * repeated identical layers (ResNet blocks, transformer layers) hit
  * after the first compile.
  *
- * Keys are explicit human-readable strings covering every mapping
- * input (no hash collisions by construction); step *names* and step
- * indices are excluded so content-identical layers share one entry.
+ * A unit is 1..N steps compiled into one Program.  Its key is an
+ * explicit human-readable string covering every mapping input (no hash
+ * collisions by construction): the machine half plus one step-content
+ * key per member.  Step *names* and step indices are excluded so
+ * content-identical layers share one entry.
  */
 
 #ifndef HYDRA_SCHED_PROGCACHE_HH
@@ -28,10 +30,11 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 
-#include "sched/lower.hh"
+#include "sched/mapping.hh"
 #include "sched/passes.hh"
 #include "sched/runner.hh"
 
@@ -45,20 +48,20 @@ struct CompiledStep
 };
 
 /**
- * Compile one step end to end: plan (StepMapper decomposition), lower
- * (bind `cost`/`net`), optimize (`level` pass pipeline, gated on
+ * Compile one unit of 1..N steps, uncached: the StepMapper maps and
+ * prices every member, in order, into one ProgramBuilder on `cards`
+ * cards, then the `level` pass pipeline runs (gated on
  * net.overlapsCompute()).
  */
-CompiledStep compileStep(const OpCostModel& cost, const NetworkModel& net,
+CompiledStep compileUnit(const OpCostModel& cost, const NetworkModel& net,
                          size_t cards, size_t log_slots,
-                         const MappingConfig& mapping, const Step& step,
+                         const MappingConfig& mapping,
+                         std::span<const Step> steps,
                          OptLevel level = OptLevel::Safe);
 
 /**
  * Machine half of a cache key: everything the cost/network models and
- * the mapper read, except the step content.  The network-level
- * compiler (sched/graph/netcompile.hh) appends one stepContentKey()
- * per fused member to this to key multi-step units.
+ * the mapper read, except the step content.
  *
  * @param spec machine description (name + card/network/mapping params)
  * @param exec_cluster topology of the executing (sub-)cluster — the
@@ -79,12 +82,13 @@ std::string machineCacheKey(const PrototypeSpec& spec,
  *  deliberately excluded so identical layers share one entry. */
 std::string stepContentKey(const Step& step);
 
-/** Cache key for one step compilation (machine half + step half). */
-std::string stepCacheKey(const PrototypeSpec& spec,
-                         const ClusterConfig& exec_cluster,
-                         const ClusterConfig& net_cluster, size_t ring_n,
-                         size_t log_slots, const Step& step,
-                         OptLevel level = OptLevel::Safe);
+/** Cache key of a unit: the machine half plus one stepContentKey()
+ *  per member, in order. */
+std::string unitKey(const PrototypeSpec& spec,
+                    const ClusterConfig& exec_cluster,
+                    const ClusterConfig& net_cluster, size_t ring_n,
+                    size_t log_slots, std::span<const Step> steps,
+                    OptLevel level = OptLevel::Safe);
 
 /**
  * Process-wide compiled-program cache (BufferPool-style counters),
@@ -172,6 +176,19 @@ class ProgramCache
     uint64_t misses_ = 0;
     uint64_t evictions_ = 0;
 };
+
+/**
+ * A unit's Program for an executing (sub-)cluster, through the shared
+ * ProgramCache: the entry under unitKey(), compiled by compileUnit()
+ * on a miss.  `exec_cluster` may be smaller than `net_cluster` (the
+ * degraded re-dispatch path keeps the machine network while the
+ * mapper sees the survivors).
+ */
+std::shared_ptr<const CompiledStep>
+cachedUnit(const PrototypeSpec& spec, const ClusterConfig& exec_cluster,
+           const ClusterConfig& net_cluster, const OpCostModel& cost,
+           const NetworkModel& net, size_t log_slots,
+           std::span<const Step> steps, OptLevel level);
 
 } // namespace hydra
 

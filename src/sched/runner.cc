@@ -195,9 +195,8 @@ InferenceRunner::execFaulted(const PrototypeSpec& sub,
             auto compiled =
                 (!degraded && planShape && u.compiled)
                     ? u.compiled
-                    : compilePlanUnit(sub, cluster, sub.cluster, cost_,
-                                      net, plan.logSlots, u,
-                                      plan.level);
+                    : cachedUnit(sub, cluster, sub.cluster, cost_, net,
+                                 plan.logSlots, u.steps, plan.level);
             RunResult rr = executor->tryRun(compiled->program);
             if (rr.ok()) {
                 result.total.append(rr.stats, net.stepSyncLatency());
@@ -307,16 +306,11 @@ InferenceRunner::runFused(const WorkloadModel& workload,
                           const FaultPlan& faults,
                           const RetryPolicy& retry) const
 {
-    // One preloaded program holding every step: the multi-member unit
-    // compiler with no optimizer passes.
-    std::vector<const Step*> members;
-    members.reserve(workload.steps.size());
-    for (const Step& s : workload.steps)
-        members.push_back(&s);
-    auto compiled = compileNetUnit(
-        spec_, spec_.cluster, spec_.cluster, cost_, *net_,
-        workload.logSlots, members, NetUnit::Kind::Prefetch,
-        OptLevel::None);
+    // One preloaded program holding every step: the whole workload as
+    // one unit, with no optimizer passes.
+    auto compiled =
+        cachedUnit(spec_, spec_.cluster, spec_.cluster, cost_, *net_,
+                   workload.logSlots, workload.steps, OptLevel::None);
     ClusterExecutor executor(spec_.cluster, *net_);
     executor.setFaultPlan(faults);
     executor.setRetryPolicy(retry);

@@ -1,9 +1,9 @@
 /**
  * @file
- * Whole-inference scheduler (paper Procedure 2): maps every Step of a
- * workload, executes the resulting programs in order, and rolls up
- * card -> server -> task completion with the per-step synchronization
- * cost of the machine's network.
+ * Whole-inference scheduler (paper Procedure 2): executes the units of
+ * a compiled ExecPlan (sched/execplan.hh) in order and rolls up card
+ * -> server -> task completion with the per-unit synchronization cost
+ * of the machine's network.
  */
 
 #ifndef HYDRA_SCHED_RUNNER_HH
@@ -128,12 +128,12 @@ struct InferenceResult
  *
  * Every execution path is a thin driver over an ExecPlan
  * (sched/execplan.hh) and one unit-execution loop on one clock.
- * compilePlan() is the one compile entry point (a WorkloadModel or a
- * NetworkGraph at any OptLevel); run(), runPlan() and runJob() all
- * feed plan units through the same degraded-re-dispatch driver, whose
- * executor origin is the job's start tick plus the time elapsed, so
- * fault-plan kill ticks are absolute everywhere.  runFused() compiles
- * the whole workload as one preloaded multi-member unit.
+ * compilePlan() is the one compile path (a WorkloadModel is lifted to
+ * its chain NetworkGraph); run(), runPlan() and runJob() all feed plan
+ * units through the same degraded-re-dispatch driver, whose executor
+ * origin is the job's start tick plus the time elapsed, so fault-plan
+ * kill ticks are absolute everywhere.  runFused() compiles the whole
+ * workload as one preloaded unit.
  */
 class InferenceRunner
 {
@@ -162,10 +162,9 @@ class InferenceRunner
 
     /**
      * Compile `workload` into a skeleton ExecPlan for `group`'s
-     * sub-machine (unit boundaries and cache keys only; programs
-     * resolve on demand at execution, so repeated jobs over one shared
-     * plan hit the ProgramCache per executed unit — the serving
-     * layer's reuse).
+     * sub-machine (units only; programs resolve on demand at
+     * execution, so repeated jobs over one shared plan hit the
+     * ProgramCache per executed unit — the serving layer's reuse).
      */
     std::shared_ptr<const ExecPlan>
     planForJob(const WorkloadModel& workload, const CardGroup& group,

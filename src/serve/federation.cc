@@ -248,8 +248,6 @@ struct Engine
     size_t
     unitTotal(size_t wl, OptLevel lv)
     {
-        if (lv != OptLevel::Aggressive)
-            return models[wl].steps.size();
         auto key = std::make_pair(wl, static_cast<uint8_t>(lv));
         auto it = unitTotals.find(key);
         if (it == unitTotals.end())

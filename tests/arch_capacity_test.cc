@@ -78,11 +78,11 @@ class TimelineTest : public ::testing::Test
         executor_.setRecordTimeline(true);
     }
 
-    /** Plan + lower one step on the 4-card cluster, no passes. */
+    /** Map + price one step on the 4-card cluster, no passes. */
     Program
     compile(const Step& s) const
     {
-        return compileStep(cost_, net_, 4, 15, MappingConfig{}, s,
+        return compileUnit(cost_, net_, 4, 15, MappingConfig{}, {&s, 1},
                            OptLevel::None)
             .program;
     }

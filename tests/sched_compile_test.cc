@@ -1,23 +1,26 @@
 /**
  * @file
- * Schedule-compiler tests: the plan -> lower -> optimize pipeline must
- * be execution-equivalent to the pre-pipeline direct mapper (golden
- * makespans for every registered machine x workload pair), the Safe
- * pass level must be tick-neutral (RunStats fingerprints), Aggressive
- * output must stay statically valid and executable (unit + fuzz), and
- * the shared ProgramCache must hit on repeated compiles while keying
- * on step content, not step names.
+ * Schedule-compiler tests: the map+price -> optimize -> cache compiler
+ * must keep the golden makespans of every registered machine x
+ * workload pair and the pinned compiled-Program corpus bit for bit,
+ * the Safe pass level must be tick-neutral (RunStats fingerprints),
+ * Aggressive output must stay statically valid and executable (unit +
+ * fuzz), and the shared ProgramCache must hit on repeated compiles
+ * while keying on step content, not step names.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "baselines/prototypes.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "sched/execplan.hh"
+#include "sched/graph/modelspec.hh"
 #include "sched/progcache.hh"
 #include "sync/executor.hh"
 
@@ -104,8 +107,8 @@ struct Rig
     CompiledStep
     compile(const Step& step, OptLevel level)
     {
-        return compileStep(cost, *net, spec.cluster.totalCards(),
-                           wl.logSlots, spec.mapping, step, level);
+        return compileUnit(cost, *net, spec.cluster.totalCards(),
+                           wl.logSlots, spec.mapping, {&step, 1}, level);
     }
 };
 
@@ -136,41 +139,6 @@ TEST(CompilePipeline, AggressiveOutputValidatesAndExecutes)
             EXPECT_TRUE(rr.ok()) << rr.error.message;
         }
     }
-}
-
-TEST(CompilePipeline, LoweringRebindsMachineModelsOnOnePlan)
-{
-    // One machine-independent plan, lowered against two different card
-    // microarchitectures: the structure (task counts, ids, queues) is
-    // identical, only durations and costs re-bind.
-    Rig rig("hydra-m", "resnet20");
-    StepMapper mapper(rig.cost, *rig.net, rig.spec.cluster.totalCards(),
-                      rig.wl.logSlots, rig.spec.mapping);
-    PrototypeSpec fast = rig.spec;
-    fast.fpga.clockHz *= 2.0;
-    OpCostModel fastCost(fast.fpga, size_t{1} << 16, fast.dnum);
-
-    bool some_faster = false;
-    for (const auto& step : rig.wl.steps) {
-        LogicalPlan plan = mapper.planStep(step);
-        Program base = lowerPlan(plan, rig.cost, *rig.net,
-                                 rig.spec.mapping);
-        Program rebound = lowerPlan(plan, fastCost, *rig.net,
-                                    fast.mapping);
-        ASSERT_EQ(base.cards.size(), rebound.cards.size());
-        for (size_t c = 0; c < base.cards.size(); ++c) {
-            ASSERT_EQ(base.cards[c].compute.size(),
-                      rebound.cards[c].compute.size());
-            for (size_t i = 0; i < base.cards[c].compute.size(); ++i) {
-                EXPECT_EQ(base.cards[c].compute[i].id,
-                          rebound.cards[c].compute[i].id);
-                if (rebound.cards[c].compute[i].duration <
-                    base.cards[c].compute[i].duration)
-                    some_faster = true;
-            }
-        }
-    }
-    EXPECT_TRUE(some_faster);
 }
 
 TEST(ProgramCacheTest, SecondRunHitsEveryStep)
@@ -228,30 +196,433 @@ TEST(ProgramCacheTest, KeyTracksContentNotName)
     Step a = wl.steps[0];
     Step b = a;
     b.name = "renamed_step";
-    std::string ka = stepCacheKey(spec, spec.cluster, spec.cluster,
-                                  size_t{1} << 16, wl.logSlots, a);
-    EXPECT_EQ(ka, stepCacheKey(spec, spec.cluster, spec.cluster,
-                               size_t{1} << 16, wl.logSlots, b));
+    auto key = [&](const PrototypeSpec& m, const ClusterConfig& exec,
+                   const Step& st, OptLevel lv) {
+        return unitKey(m, exec, m.cluster, size_t{1} << 16, wl.logSlots,
+                       {&st, 1}, lv);
+    };
+    const OptLevel safe = OptLevel::Safe;
+    std::string ka = key(spec, spec.cluster, a, safe);
+    EXPECT_EQ(ka, key(spec, spec.cluster, b, safe));
 
     b.limbs += 1;
-    EXPECT_NE(ka, stepCacheKey(spec, spec.cluster, spec.cluster,
-                               size_t{1} << 16, wl.logSlots, b));
+    EXPECT_NE(ka, key(spec, spec.cluster, b, safe));
 
     // Shrunken executing cluster (degraded re-dispatch) re-keys.
     ClusterConfig degraded{1, spec.cluster.totalCards() - 1};
-    EXPECT_NE(ka, stepCacheKey(spec, degraded, spec.cluster,
-                               size_t{1} << 16, wl.logSlots, a));
+    EXPECT_NE(ka, key(spec, degraded, a, safe));
 
     // Pass level re-keys.
-    EXPECT_NE(ka, stepCacheKey(spec, spec.cluster, spec.cluster,
-                               size_t{1} << 16, wl.logSlots, a,
-                               OptLevel::Aggressive));
+    EXPECT_NE(ka, key(spec, spec.cluster, a, OptLevel::Aggressive));
 
     // A different machine re-keys even with equal geometry.
     PrototypeSpec other = spec;
     other.fpga.clockHz *= 2.0;
-    EXPECT_NE(ka, stepCacheKey(other, other.cluster, other.cluster,
-                               size_t{1} << 16, wl.logSlots, a));
+    EXPECT_NE(ka, key(other, other.cluster, a, safe));
+
+    // A multi-step unit keys on every member in order; a one-step
+    // unit's key is the machine half plus that step's content.
+    std::vector<Step> pair = {wl.steps[0], wl.steps[1]};
+    std::vector<Step> swapped = {wl.steps[1], wl.steps[0]};
+    std::string kp = unitKey(spec, spec.cluster, spec.cluster,
+                             size_t{1} << 16, wl.logSlots, pair);
+    EXPECT_NE(kp, unitKey(spec, spec.cluster, spec.cluster,
+                          size_t{1} << 16, wl.logSlots, swapped));
+    EXPECT_EQ(ka, machineCacheKey(spec, spec.cluster, spec.cluster,
+                                  size_t{1} << 16, wl.logSlots) +
+                      stepContentKey(a));
+}
+
+// ---------------------------------------------------------------------------
+// Pinned compiled-Program corpus.  RunStats fingerprints only see the
+// summed OpCost; these hashes cover every field of every compiled
+// Program (labels, each compute task's id, duration, waits, label and
+// OpCost, each comm task) plus the optimizer's pass deltas, so any
+// change to the mapper, the pricing or the passes shows up here.
+
+/** FNV-1a over compiled programs, plans and optimizer reports. */
+struct Fnv
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    byte(uint8_t b)
+    {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+
+    void
+    u64(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            byte(static_cast<uint8_t>(v >> (8 * i)));
+    }
+
+    void
+    str(const std::string& s)
+    {
+        u64(s.size());
+        for (char c : s)
+            byte(static_cast<uint8_t>(c));
+    }
+
+    void
+    counts(const ProgramCounts& c)
+    {
+        for (uint64_t v : {c.computeTasks, c.sends, c.recvs, c.messages,
+                           c.bytes, c.maxComputeDepth, c.maxCommDepth})
+            u64(v);
+    }
+
+    void
+    compiled(const CompiledStep& cs)
+    {
+        const Program& p = cs.program;
+        u64(p.labels.size());
+        for (const std::string& l : p.labels)
+            str(l);
+        u64(p.cards.size());
+        for (const CardProgram& card : p.cards) {
+            u64(card.compute.size());
+            for (const ComputeTask& t : card.compute) {
+                u64(t.id);
+                u64(t.duration);
+                u64(t.waitMsgs.size());
+                for (uint64_t m : t.waitMsgs)
+                    u64(m);
+                u64(t.label);
+                u64(t.cost.cycles);
+                u64(t.cost.hbmBytes);
+                for (uint64_t x : t.cost.cuOps)
+                    u64(x);
+                u64(t.cost.limbs);
+            }
+            u64(card.comm.size());
+            for (const CommTask& t : card.comm) {
+                u64(static_cast<uint64_t>(t.kind));
+                u64(t.msg);
+                u64(t.peer);
+                u64(t.bytes);
+                u64(t.afterCompute);
+            }
+        }
+        const OptReport& r = cs.report;
+        u64(static_cast<uint64_t>(r.level));
+        counts(r.before);
+        counts(r.after);
+        u64(r.passes.size());
+        for (const PassDelta& d : r.passes) {
+            str(d.pass);
+            counts(d.before);
+            counts(d.after);
+            u64(d.changes);
+        }
+    }
+
+    void
+    plan(const ExecPlan& p)
+    {
+        str(p.key);
+        u64(p.units.size());
+        for (const ExecUnit& u : p.units) {
+            u64(static_cast<uint64_t>(u.kind));
+            str(u.name);
+            u64(static_cast<uint64_t>(u.lead));
+            u64(u.steps.size());
+            compiled(*u.compiled);
+        }
+        const NetOptReport& r = p.report;
+        for (uint64_t v : {r.bootsElided, r.bootsMerged, r.relevelled,
+                           r.fusedSteps, r.prefetchedBoundaries,
+                           static_cast<uint64_t>(r.modeledBootSavings)})
+            u64(v);
+    }
+};
+
+std::string
+hex(uint64_t v)
+{
+    return strf("0x%016llxull", static_cast<unsigned long long>(v));
+}
+
+/** Per-step compiles at each level, plus the whole-workload program
+ *  runFused preloads, for one (machine, benchmark). */
+struct StepPin
+{
+    const char* machine;
+    const char* workload;
+    uint64_t none, safe, aggressive, fused;
+};
+
+const StepPin kStepPins[] = {
+    {"hydra-s", "ResNet-18", 0xf1e0c5c0661e458aull,
+     0x7d8a0f0396178bd0ull, 0x161df377ced3fcf6ull, 0xa9b7505ca268605eull},
+    {"hydra-s", "ResNet-50", 0x103b7ad1554a8821ull,
+     0xfb8b6f86946078e3ull, 0x454d55adfefcf3a9ull, 0x49007e71a257721bull},
+    {"hydra-s", "BERT-base", 0x9c70cc17bf1a11eaull,
+     0xf946cb2fb03087d8ull, 0xddb671a07589b5ceull, 0xedea0f25c9eaae84ull},
+    {"hydra-s", "OPT-6.7B", 0xf5bb17bab73b2ad3ull,
+     0xcd6cfb1a2819451dull, 0x2baf4ba966e886cfull, 0x4f9f1f21b077d7faull},
+    {"hydra-m", "ResNet-18", 0x2c4b43776cd04385ull,
+     0x2a50f2cecde06c51ull, 0x39d25e0df6459139ull, 0xc5f62f7e9d377708ull},
+    {"hydra-m", "ResNet-50", 0x26ea6d000d491ae2ull,
+     0x536c752884c2cf88ull, 0x8214d468d65ddaf6ull, 0x4881b641817f8452ull},
+    {"hydra-m", "BERT-base", 0x67d330102e96b0deull,
+     0x47bdd6207d52d654ull, 0xa5f7a54eb5e6a8eeull, 0x6b902ba8974efbc9ull},
+    {"hydra-m", "OPT-6.7B", 0xe7deba6fd3b8ca0bull,
+     0xa6523f849327a8d1ull, 0x317fd266fbc912bbull, 0xa9c34c2b3d19d85eull},
+    {"hydra-l", "ResNet-18", 0xfeb24697c6c5e3cbull,
+     0xea270b1c0d8aaebdull, 0xd487e90b1c71e2eaull, 0xcc4ae822bcf7ba16ull},
+    {"hydra-l", "ResNet-50", 0x953fe6c78c63421dull,
+     0xf7687fc5b8fac345ull, 0xbaf0281428c6b943ull, 0x7aec649857ec84a7ull},
+    {"hydra-l", "BERT-base", 0xc86bae580078ad12ull,
+     0x862a0184ad94a75cull, 0x865c70f540f3bb17ull, 0x1b5e0db465633dfaull},
+    {"hydra-l", "OPT-6.7B", 0x13b17c33d0668294ull,
+     0xf97e977a68e2a742ull, 0xd214f493668c52d1ull, 0x7bc08cb57b80d21dull},
+    {"fab-s", "ResNet-18", 0x748bf5e9bc29463cull,
+     0x1aa0fd51c2f3a3fcull, 0x44ec51932257bde8ull, 0xadd8c3fb64cbd4f2ull},
+    {"fab-s", "ResNet-50", 0x4c92a35af47a5ee9ull,
+     0xad2454aea630d310ull, 0x6281ca94965a94acull, 0x8a1f795a14322fc5ull},
+    {"fab-s", "BERT-base", 0x429592f37f9e6f66ull,
+     0x87b3d3da48eca5eeull, 0x0a7b0eb07192e0aaull, 0x22c8c7dbdbe3bd14ull},
+    {"fab-s", "OPT-6.7B", 0x850b4a2f2d07de56ull,
+     0x2c74632a3ae747e6ull, 0xd457392d73aa59deull, 0x9f35aad95a089f6bull},
+    {"fab-m", "ResNet-18", 0xcfd8acae7e262df2ull,
+     0x8bf967bb78b5f422ull, 0xff345439d3263502ull, 0xd9f29a7bb74d5f57ull},
+    {"fab-m", "ResNet-50", 0x4416ee54860d9de9ull,
+     0x73b6f4024cd519f4ull, 0x3ff4fca86eb0c052ull, 0x843c440a43e6dc05ull},
+    {"fab-m", "BERT-base", 0x3ae71f5f1946f3c4ull,
+     0x41294cd8b7d17188ull, 0x0ad4925ce478213cull, 0xfb26ff58a2ad3f7full},
+    {"fab-m", "OPT-6.7B", 0x3aadf3e835568c9dull,
+     0xbda4d923ba0746f1ull, 0x051c04b75aa80569ull, 0xbbe7db5386ac063cull},
+    {"fab-l", "ResNet-18", 0xeaee88ad2fa21e3eull,
+     0x8102d096b2613cd2ull, 0x52e6aebc15912bb1ull, 0x7f16dbc9f0c850b3ull},
+    {"fab-l", "ResNet-50", 0xeaa96894762171b6ull,
+     0x38dfb673c97ad407ull, 0x58ba2d00888729c9ull, 0x84a696df08863804ull},
+    {"fab-l", "BERT-base", 0x8bc3d07541970584ull,
+     0x05b06cd003cebb80ull, 0x86e46f541bed5341ull, 0xd44688e3ee5d6cf0ull},
+    {"fab-l", "OPT-6.7B", 0xec5d3296b4ba940aull,
+     0xaaf8ca8e236a10ceull, 0xb522f0f4a6290ccfull, 0x7a0f46df86438003ull},
+    {"poseidon", "ResNet-18", 0x8f5d5d8ca5ea26d6ull,
+     0x2c0447507093440aull, 0xc947ac0378d61e2eull, 0xc6d4ba1cd0d4e336ull},
+    {"poseidon", "ResNet-50", 0x71189f1e2d4a5e6bull,
+     0xc91ea38b4e6b3143ull, 0xe427bec5b54dfe47ull, 0x6757723e518cb57bull},
+    {"poseidon", "BERT-base", 0xf87029391bd36380ull,
+     0xafa42fb0a9837096ull, 0x5b27e1eea711aa54ull, 0x9f8f66f780723a06ull},
+    {"poseidon", "OPT-6.7B", 0x0999c091d087ad3cull,
+     0xfff651a020102deaull, 0xe629f9ccca9e70f0ull, 0xe323020408a47649ull},
+};
+
+/** compilePlan at Safe and Aggressive, unit shapes included. */
+struct PlanPin
+{
+    const char* machine;
+    const char* model;
+    uint64_t safe, aggressive;
+};
+
+const PlanPin kPlanPins[] = {
+    {"hydra-s", "resnet18", 0x047956b8ed01eca5ull, 0x8695bc65827c1ea5ull},
+    {"hydra-s", "resnet50", 0xc15cd7852ae619b1ull, 0xbd4ee1a50d69b27full},
+    {"hydra-s", "bert", 0x89069d9be5974f25ull, 0x33bcc090f2955e28ull},
+    {"hydra-s", "opt", 0xd703a14cb0d27df0ull, 0xf30f2821e122419cull},
+    {"hydra-s", "resnet20", 0xbc85a2cc60ee3bc9ull, 0xf1244f7d44c1c765ull},
+    {"hydra-s", "mlp3", 0xbb191f618b92e771ull, 0x89e98291a14e247dull},
+    {"hydra-m", "resnet18", 0x2f0fcf7f867c01a8ull, 0x49905373858f7a96ull},
+    {"hydra-m", "resnet50", 0xccd1f7b7329cbee8ull, 0x21680a34c11f3c48ull},
+    {"hydra-m", "bert", 0xd24a06a52d34ef6dull, 0x6c19701454f50a17ull},
+    {"hydra-m", "opt", 0xe7f87cdb7e7ddd24ull, 0x3c14d39b5960c310ull},
+    {"hydra-m", "resnet20", 0x530624318266d094ull, 0x8fbd3f209b193495ull},
+    {"hydra-m", "mlp3", 0x9e6c5df788dd3a57ull, 0x33de6c8158dd64d4ull},
+    {"hydra-l", "resnet18", 0x698e3feb9a85badbull, 0x997d1fe272cdc6f7ull},
+    {"hydra-l", "resnet50", 0xa921247f326e2f00ull, 0x31865786bcea695eull},
+    {"hydra-l", "bert", 0xcf8e0bd120dd0748ull, 0x31d6fadaee758ebdull},
+    {"hydra-l", "opt", 0xff080c112e6b8a96ull, 0x7cbb6affd1f00f5aull},
+    {"hydra-l", "resnet20", 0x7444180fca7b902dull, 0xcab7656f282ec19eull},
+    {"hydra-l", "mlp3", 0x7b3d633bec97502cull, 0x9971b3dcb515685bull},
+    {"fab-s", "resnet18", 0xb199415082b1940cull, 0x6502ab7bbdfec4bbull},
+    {"fab-s", "resnet50", 0x5b450f338a931879ull, 0x4cf5684f6f272aa0ull},
+    {"fab-s", "bert", 0xd3a7a2969aacf7c2ull, 0x1d0f15f2306ba9f7ull},
+    {"fab-s", "opt", 0x44de7f9375c355f8ull, 0xd0d4a98c88f6c0c1ull},
+    {"fab-s", "resnet20", 0xa0b80b339236d334ull, 0xa98ec5ee0dd9a71dull},
+    {"fab-s", "mlp3", 0xb43c3b18b398935full, 0x7db02fb3c35b80b8ull},
+    {"fab-m", "resnet18", 0x9c88e63aef954c6aull, 0xa8b7719c780f2cbaull},
+    {"fab-m", "resnet50", 0xde2305c43c58a7a7ull, 0x7ce28eceb36b334bull},
+    {"fab-m", "bert", 0x23193ea63811a3ecull, 0x1b578ee916e1b310ull},
+    {"fab-m", "opt", 0xd4c97e6f6f5d0d97ull, 0xa611594b8938b98bull},
+    {"fab-m", "resnet20", 0x473165747ebfbd0dull, 0x550d02caa8ee93fbull},
+    {"fab-m", "mlp3", 0x084a42502da1bb01ull, 0xe878fd0f6d54b154ull},
+    {"fab-l", "resnet18", 0x1e34af54a10fade1ull, 0x47fe2a2f3283436aull},
+    {"fab-l", "resnet50", 0xdebd9f01bebf6af3ull, 0x14348658640e51cdull},
+    {"fab-l", "bert", 0x13bc1f5fbd5c8455ull, 0x60c9cd9d8053526full},
+    {"fab-l", "opt", 0x6aa955644da77561ull, 0x5eee9957c3707b0dull},
+    {"fab-l", "resnet20", 0x5ee5217c242d1c40ull, 0x8aad24588811fb97ull},
+    {"fab-l", "mlp3", 0x38db3eb807d1ba44ull, 0x9fc45eb6134e3267ull},
+    {"poseidon", "resnet18", 0x274e28343e754742ull, 0xcddc768f0f960d0bull},
+    {"poseidon", "resnet50", 0xe79998761474f594ull, 0x422f7aac0febc31aull},
+    {"poseidon", "bert", 0x6dc5000576bdd5a8ull, 0x9787416d3e2a4e62ull},
+    {"poseidon", "opt", 0x56ef238a5b135914ull, 0x996fc59cf465f38bull},
+    {"poseidon", "resnet20", 0xe1678c0b8473877eull, 0x6b4ca5915f6c3f8cull},
+    {"poseidon", "mlp3", 0x7ed7a0d237b8e9a4ull, 0xac205540e23b1330ull},
+};
+
+/** Degraded and ragged shapes: a 3-card ragged group's plans and every
+ *  unit recompiled for the n-1 survivors under the machine network. */
+struct ShapePin
+{
+    const char* machine;
+    const char* workload;
+    uint64_t ragged, survivors;
+};
+
+const ShapePin kShapePins[] = {
+    {"hydra-m", "ResNet-18", 0x24bc3ad427e6d8b3ull, 0xbad2067886c5cbb1ull},
+    {"hydra-m", "ResNet-50", 0xf353e05a24b1eb12ull, 0xf555f3f4a6a71c4cull},
+    {"hydra-m", "BERT-base", 0x4b9b0112b39d7618ull, 0x7605f9b2bdcbc14bull},
+    {"hydra-m", "OPT-6.7B", 0xfc601f0bf5d46949ull, 0x8fad77f5fbbed664ull},
+    {"hydra-l", "ResNet-18", 0xf4aa03f377fbdd75ull, 0x8664b001475be875ull},
+    {"hydra-l", "ResNet-50", 0x60ca84aaec13d880ull, 0xa2f9902abd64329aull},
+    {"hydra-l", "BERT-base", 0xbc7d6fd51fe360b6ull, 0xbc39fd8f4033c589ull},
+    {"hydra-l", "OPT-6.7B", 0x145377f5e65d5ef7ull, 0xc089c6e12d9ad73cull},
+    {"fab-m", "ResNet-18", 0xf0e699707014b7ceull, 0x1e434383b1fc1640ull},
+    {"fab-m", "ResNet-50", 0x38a6937bd3dfd624ull, 0x4e7c68bd89bdcb54ull},
+    {"fab-m", "BERT-base", 0x273cec204037d53eull, 0xa5dcb99a0f7be441ull},
+    {"fab-m", "OPT-6.7B", 0xdc9f883ce8f213f3ull, 0xce21ddf65f6bea70ull},
+};
+
+TEST(CompileCorpus, ProgramsArePinned)
+{
+    ProgramCache& cache = ProgramCache::global();
+    cache.clear();
+    cache.resetStats();
+    const OptLevel planLevels[] = {OptLevel::Safe, OptLevel::Aggressive};
+
+    // Every step at every level, uncached, and the fused program.
+    std::vector<WorkloadModel> benches = allBenchmarks();
+    size_t checked = 0;
+    for (const std::string& m : machineNames()) {
+        PrototypeSpec spec = machineByName(m);
+        OpCostModel cost(spec.fpga, size_t{1} << 16, spec.dnum);
+        std::unique_ptr<NetworkModel> net = spec.makeNetwork();
+        size_t cards = spec.cluster.totalCards();
+        for (const WorkloadModel& wl : benches) {
+            uint64_t got[3];
+            const OptLevel levels[] = {OptLevel::None, OptLevel::Safe,
+                                       OptLevel::Aggressive};
+            for (size_t li = 0; li < 3; ++li) {
+                Fnv f;
+                for (const Step& s : wl.steps)
+                    f.compiled(compileUnit(cost, *net, cards, wl.logSlots,
+                                           spec.mapping, {&s, 1},
+                                           levels[li]));
+                got[li] = f.h;
+            }
+            Fnv fused;
+            fused.compiled(*cachedUnit(spec, spec.cluster, spec.cluster,
+                                       cost, *net, wl.logSlots, wl.steps,
+                                       OptLevel::None));
+            std::string row = strf("    {\"%s\", \"%s\", %s, %s, %s, %s},",
+                                   m.c_str(), wl.name.c_str(),
+                                   hex(got[0]).c_str(), hex(got[1]).c_str(),
+                                   hex(got[2]).c_str(),
+                                   hex(fused.h).c_str());
+            const StepPin* pin = nullptr;
+            for (const StepPin& p : kStepPins)
+                if (m == p.machine && wl.name == p.workload)
+                    pin = &p;
+            if (!pin) {
+                ADD_FAILURE() << row;
+                continue;
+            }
+            EXPECT_EQ(got[0], pin->none) << row;
+            EXPECT_EQ(got[1], pin->safe) << row;
+            EXPECT_EQ(got[2], pin->aggressive) << row;
+            EXPECT_EQ(fused.h, pin->fused) << row;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, std::size(kStepPins));
+
+    // Every declarative model through compilePlan, materialized.
+    checked = 0;
+    for (const std::string& m : machineNames()) {
+        PrototypeSpec spec = machineByName(m);
+        OpCostModel cost(spec.fpga, size_t{1} << 16, spec.dnum);
+        std::unique_ptr<NetworkModel> net = spec.makeNetwork();
+        for (const std::string& model : modelSpecNames()) {
+            NetworkGraph g = modelGraphByName(model);
+            uint64_t got[2];
+            for (size_t li = 0; li < 2; ++li) {
+                Fnv f;
+                f.plan(compilePlan(spec, cost, *net, g, planLevels[li]));
+                got[li] = f.h;
+            }
+            std::string row = strf("    {\"%s\", \"%s\", %s, %s},",
+                                   m.c_str(), model.c_str(),
+                                   hex(got[0]).c_str(),
+                                   hex(got[1]).c_str());
+            const PlanPin* pin = nullptr;
+            for (const PlanPin& p : kPlanPins)
+                if (m == p.machine && model == p.model)
+                    pin = &p;
+            if (!pin) {
+                ADD_FAILURE() << row;
+                continue;
+            }
+            EXPECT_EQ(got[0], pin->safe) << row;
+            EXPECT_EQ(got[1], pin->aggressive) << row;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, std::size(kPlanPins));
+
+    // A ragged 3-card group (flat sub-machine) and the n-1 survivor
+    // shape of degraded re-dispatch (machine network, smaller cluster).
+    checked = 0;
+    for (const char* m : {"hydra-m", "hydra-l", "fab-m"}) {
+        PrototypeSpec spec = machineByName(m);
+        OpCostModel cost(spec.fpga, size_t{1} << 16, spec.dnum);
+        std::unique_ptr<NetworkModel> net = spec.makeNetwork();
+        PrototypeSpec sub = groupSubSpec(spec, CardGroup{{1, 2, 4}});
+        std::unique_ptr<NetworkModel> subNet = sub.makeNetwork();
+        ClusterConfig survivors{1, spec.cluster.totalCards() - 1};
+        for (const WorkloadModel& wl : benches) {
+            Fnv ragged, degraded;
+            for (OptLevel lv : planLevels) {
+                ragged.plan(compilePlan(sub, cost, *subNet, wl, lv));
+                ExecPlan plan = compilePlan(spec, cost, *net, wl, lv,
+                                            PlanWindow::none());
+                for (const ExecUnit& u : plan.units)
+                    degraded.compiled(*cachedUnit(
+                        spec, survivors, spec.cluster, cost, *net,
+                        plan.logSlots, u.steps, lv));
+            }
+            std::string row = strf("    {\"%s\", \"%s\", %s, %s},", m,
+                                   wl.name.c_str(),
+                                   hex(ragged.h).c_str(),
+                                   hex(degraded.h).c_str());
+            const ShapePin* pin = nullptr;
+            for (const ShapePin& p : kShapePins)
+                if (std::string(m) == p.machine && wl.name == p.workload)
+                    pin = &p;
+            if (!pin) {
+                ADD_FAILURE() << row;
+                continue;
+            }
+            EXPECT_EQ(ragged.h, pin->ragged) << row;
+            EXPECT_EQ(degraded.h, pin->survivors) << row;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, std::size(kShapePins));
+
+    // The key scheme decides what this fixed sequence shares.
+    ProgramCache::Stats st = cache.stats();
+    EXPECT_EQ(st.hits, 13263u);
+    EXPECT_EQ(st.misses, 1585u);
+    EXPECT_EQ(st.entries, 1585u);
+    EXPECT_EQ(st.evictions, 0u);
 }
 
 /** Minimal configurable network for the synthetic pass tests. */

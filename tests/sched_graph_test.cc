@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -471,7 +472,7 @@ TEST(NetCompile, AggressiveFusesLinearChains)
     bool anyFused = false;
     for (const ExecUnit& u : cn.units) {
         EXPECT_NE(u.compiled, nullptr) << u.name;
-        if (u.kind == NetUnit::Kind::Fused) {
+        if (u.kind == ExecUnit::Kind::Fused) {
             anyFused = true;
             EXPECT_GE(u.steps.size(), 2u);
             EXPECT_NE(u.name.find(".."), std::string::npos);
@@ -488,7 +489,7 @@ TEST(NetCompile, AggressivePrefetchesOnOverlappingNetworks)
     EXPECT_GT(cn.report.prefetchedBoundaries, 0u);
     bool anyPrefetch = false;
     for (const ExecUnit& u : cn.units) {
-        anyPrefetch |= u.kind == NetUnit::Kind::Prefetch;
+        anyPrefetch |= u.kind == ExecUnit::Kind::Prefetch;
         EXPECT_LE(u.steps.size(), kPrefetchWindow * 4);
     }
     EXPECT_TRUE(anyPrefetch);
@@ -636,9 +637,10 @@ TEST(ExecPlanPath, DagSafePlansAreTickIdenticalAcrossReruns)
     ASSERT_EQ(b.size(), a.size());
     EXPECT_EQ(a.key, b.key);
     for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a.units[i].kind, NetUnit::Kind::Single);
-        EXPECT_EQ(a.units[i].key, b.units[i].key);
+        EXPECT_EQ(a.units[i].kind, ExecUnit::Kind::Single);
         ASSERT_NE(a.units[i].compiled, nullptr);
+        // Both plans resolved the same cache entry.
+        EXPECT_EQ(a.units[i].compiled, b.units[i].compiled);
     }
 
     InferenceRunner runner(machineByName("hydra-m"));
@@ -664,15 +666,17 @@ TEST(ExecPlanPath, SafePlanRunsBitIdenticalToLegacyRun)
     ASSERT_EQ(plan.size(), wl.steps.size());
     EXPECT_EQ(plan.level, OptLevel::Safe);
 
-    // Safe units carry the legacy per-step cache keys, so the plan
-    // populates the exact ProgramCache entries the old path did.
+    // Safe units are the workload's steps one by one, and each one's
+    // materialized program is the cache entry for that single step.
     NetRig rig("hydra-m");
-    for (size_t i = 0; i < wl.steps.size(); ++i)
-        EXPECT_EQ(plan.units[i].key,
-                  stepCacheKey(rig.spec, rig.spec.cluster,
-                               rig.spec.cluster, rig.cost.n(),
-                               wl.logSlots, wl.steps[i]))
+    for (size_t i = 0; i < wl.steps.size(); ++i) {
+        ASSERT_EQ(plan.units[i].steps.size(), 1u);
+        EXPECT_EQ(plan.units[i].compiled,
+                  cachedUnit(rig.spec, rig.spec.cluster, rig.spec.cluster,
+                             rig.cost, *rig.net, wl.logSlots,
+                             {&wl.steps[i], 1}, OptLevel::Safe))
             << i;
+    }
 
     InferenceResult viaPlan = runner.runPlan(plan);
     InferenceResult legacy = runner.run(wl);
@@ -717,7 +721,7 @@ TEST(ExecPlanPath, SkeletonJobPlanMatchesLegacyRunJob)
         CardGroup::contiguous(0, spec.cluster.cardsPerServer);
     std::shared_ptr<const ExecPlan> plan = runner.planForJob(wl, group);
     for (const ExecUnit& u : plan->units)
-        EXPECT_EQ(u.compiled, nullptr); // skeleton: keys only
+        EXPECT_EQ(u.compiled, nullptr); // skeleton: units only
 
     // The reference: the group's sub-machine run as a whole machine
     // through a materialized plan (fault-free jobs are start-invariant).
@@ -753,14 +757,14 @@ TEST(ProgCache, BoundedCapacityEvictsLeastRecentlyUsed)
     ProgramCache cache; // local: the global cache stays untouched
     cache.setCapacity(2);
     auto get = [&](size_t i) {
-        std::string key = stepCacheKey(rig.spec, rig.spec.cluster,
-                                       rig.spec.cluster, rig.cost.n(),
-                                       wl.logSlots, wl.steps[i]);
+        std::span<const Step> unit(&wl.steps[i], 1);
+        std::string key = unitKey(rig.spec, rig.spec.cluster,
+                                  rig.spec.cluster, rig.cost.n(),
+                                  wl.logSlots, unit);
         return cache.getOrCompile(key, [&] {
-            return compileStep(rig.cost, *rig.net,
+            return compileUnit(rig.cost, *rig.net,
                                rig.spec.cluster.totalCards(),
-                               wl.logSlots, rig.spec.mapping,
-                               wl.steps[i]);
+                               wl.logSlots, rig.spec.mapping, unit);
         });
     };
 

@@ -30,12 +30,12 @@ struct MapperFixture
         executor = std::make_unique<ClusterExecutor>(cluster, *net);
     }
 
-    /** Plan + lower one step, no optimizer passes. */
+    /** Map + price one step, no optimizer passes. */
     Program
     compile(const Step& s) const
     {
-        return compileStep(cost, *net, cluster.totalCards(), 15,
-                           MappingConfig{}, s, OptLevel::None)
+        return compileUnit(cost, *net, cluster.totalCards(), 15,
+                           MappingConfig{}, {&s, 1}, OptLevel::None)
             .program;
     }
 
@@ -234,8 +234,8 @@ TEST(Mapping, PolyTreeWinsWhenTransfersAreCheap)
         Step s = reluStep(1);
         s.polyDegree = 59;
         return ex
-            .run(compileStep(cost, net, cards, 15, MappingConfig{}, s,
-                             OptLevel::None)
+            .run(compileUnit(cost, net, cards, 15, MappingConfig{},
+                             {&s, 1}, OptLevel::None)
                      .program)
             .makespan;
     };
