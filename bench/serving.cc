@@ -29,6 +29,10 @@
  *                             Both legs replay fault-free windows
  *                             from the JobCache (tens of seconds
  *                             each).
+ *
+ * Every case replays pure job windows from the JobCache, on faulted
+ * clusters too (serve/jobcache.hh); the job_cache_faulted_* counters
+ * count the faulted clusters' lookups.
  */
 
 #include <benchmark/benchmark.h>
@@ -144,6 +148,11 @@ exportStats(benchmark::State& state, const ServeStats& st)
         static_cast<double>(st.jobCacheHits);
     state.counters["job_cache_misses"] =
         static_cast<double>(st.jobCacheMisses);
+    // Pure windows replayed on clusters with local fault injection.
+    state.counters["job_cache_faulted_hits"] =
+        static_cast<double>(st.jobCacheFaultedHits);
+    state.counters["job_cache_faulted_misses"] =
+        static_cast<double>(st.jobCacheFaultedMisses);
     // Per-run ProgramCache deltas (the serve_cluster --json "caches"
     // block); the cross-iteration reuse rate is computed in serveCase.
     state.counters["progcache_run_hits"] =

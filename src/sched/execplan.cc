@@ -75,8 +75,8 @@ compilePlan(const PrototypeSpec& spec, const OpCostModel& cost,
     plan.key =
         planKey(spec, cost, graph.logSlots, graph.name, pre, level);
 
-    plan.units =
-        partitionNetwork(spec, cost, net, graph, level, plan.report);
+    plan.units = partitionNetwork(spec, cost, net, graph, order, level,
+                                  plan.report);
     materialize(plan, spec, cost, net, window);
     return plan;
 }
@@ -86,10 +86,14 @@ planUnitCount(const PrototypeSpec& spec, const OpCostModel& cost,
               const NetworkModel& net, const WorkloadModel& workload,
               OptLevel level)
 {
+    NetworkGraph graph = NetworkGraph::fromModel(workload);
+    std::vector<uint32_t> order;
+    SpecError err;
+    if (!graph.topoOrder(order, err))
+        fatal("planUnitCount on an invalid graph: %s",
+              err.describe().c_str());
     NetOptReport report;
-    return partitionNetwork(spec, cost, net,
-                            NetworkGraph::fromModel(workload), level,
-                            report)
+    return partitionNetwork(spec, cost, net, graph, order, level, report)
         .size();
 }
 

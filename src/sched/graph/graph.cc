@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
+#include <numeric>
+#include <queue>
 
 #include "common/logging.hh"
 
@@ -40,7 +43,10 @@ NetworkGraph::fromModel(const WorkloadModel& model)
         g.edges.push_back(GraphEdge{static_cast<uint32_t>(i),
                                     static_cast<uint32_t>(i + 1),
                                     model.steps[i].outputCts});
-    g.annotateLevels();
+    // A chain is its own topological order: no sort needed.
+    std::vector<uint32_t> order(g.nodes.size());
+    std::iota(order.begin(), order.end(), 0u);
+    g.annotateLevels(order);
     return g;
 }
 
@@ -66,38 +72,59 @@ bool
 NetworkGraph::topoOrder(std::vector<uint32_t>& order, SpecError& err) const
 {
     order.clear();
-    std::vector<size_t> indeg(nodes.size(), 0);
-    for (const auto& e : edges)
-        if (e.dst < nodes.size())
-            ++indeg[e.dst];
-    // Kahn with a smallest-id-first scan: deterministic, and a chain
-    // graph comes out in authored order.  Node counts are model-sized
-    // (hundreds), so the quadratic scan is irrelevant.
-    std::vector<bool> done(nodes.size(), false);
-    for (size_t picked = 0; picked < nodes.size(); ++picked) {
-        size_t next = nodes.size();
-        for (size_t i = 0; i < nodes.size(); ++i)
-            if (!done[i] && indeg[i] == 0) {
-                next = i;
-                break;
-            }
-        if (next == nodes.size()) {
-            err.message = "network graph has a dependency cycle";
-            err.token = nodes.empty() ? name : nodes[0].step.name;
-            for (size_t i = 0; i < nodes.size(); ++i)
-                if (!done[i]) {
-                    err.token = nodes[i].step.name;
-                    break;
-                }
-            return false;
-        }
-        done[next] = true;
-        order.push_back(static_cast<uint32_t>(next));
-        for (const auto& e : edges)
-            if (e.src == next && e.dst < nodes.size())
-                --indeg[e.dst];
+    const size_t n = nodes.size();
+    // Successor lists in CSR form; an edge from an out-of-range source
+    // still counts toward its destination's in-degree, so that node
+    // never becomes ready (reported as a cycle, as validate() expects).
+    std::vector<size_t> indeg(n, 0);
+    std::vector<uint32_t> begin(n + 1, 0);
+    for (const auto& e : edges) {
+        if (e.dst >= n)
+            continue;
+        ++indeg[e.dst];
+        if (e.src < n)
+            ++begin[e.src + 1];
     }
-    return true;
+    std::partial_sum(begin.begin(), begin.end(), begin.begin());
+    std::vector<uint32_t> succ(begin[n]);
+    std::vector<uint32_t> fill(begin.begin(), begin.end() - 1);
+    for (const auto& e : edges)
+        if (e.src < n && e.dst < n)
+            succ[fill[e.src]++] = e.dst;
+
+    // Kahn over a min-heap of ready ids: always the smallest ready id
+    // next, so the order is deterministic and a chain graph comes out
+    // in authored order.
+    std::priority_queue<uint32_t, std::vector<uint32_t>,
+                        std::greater<uint32_t>>
+        ready;
+    for (size_t i = 0; i < n; ++i)
+        if (indeg[i] == 0)
+            ready.push(static_cast<uint32_t>(i));
+    order.reserve(n);
+    while (!ready.empty()) {
+        uint32_t next = ready.top();
+        ready.pop();
+        order.push_back(next);
+        for (uint32_t k = begin[next]; k < begin[next + 1]; ++k)
+            if (--indeg[succ[k]] == 0)
+                ready.push(succ[k]);
+    }
+    if (order.size() == n)
+        return true;
+    // Name the smallest node that never became ready.
+    std::vector<bool> done(n, false);
+    for (uint32_t id : order)
+        done[id] = true;
+    err.message = "network graph has a dependency cycle";
+    err.token = name;
+    for (size_t i = 0; i < n; ++i)
+        if (!done[i]) {
+            err.token = nodes[i].step.name;
+            break;
+        }
+    order.clear();
+    return false;
 }
 
 bool
@@ -161,18 +188,28 @@ NetworkGraph::annotateLevels()
     if (!topoOrder(order, err))
         fatal("NetworkGraph::annotateLevels on a cyclic graph: %s",
               err.describe().c_str());
+    annotateLevels(order);
+}
+
+void
+NetworkGraph::annotateLevels(const std::vector<uint32_t>& order)
+{
+    // preds[i] = sources of the edges into node i.
+    std::vector<std::vector<uint32_t>> preds(nodes.size());
+    for (const auto& e : edges)
+        if (e.dst < nodes.size())
+            preds[e.dst].push_back(e.src);
     // levelOut[i] = level available after node i ran.
     std::vector<size_t> levelOut(nodes.size(), maxLimbs);
     for (uint32_t id : order) {
         LayerNode& n = nodes[id];
         size_t level = maxLimbs;
         bool hasPred = false;
-        for (const auto& e : edges)
-            if (e.dst == id) {
-                level = hasPred ? std::min(level, levelOut[e.src])
-                                : levelOut[e.src];
-                hasPred = true;
-            }
+        for (uint32_t src : preds[id]) {
+            level = hasPred ? std::min(level, levelOut[src])
+                            : levelOut[src];
+            hasPred = true;
+        }
         n.levelIn = level;
         n.depth = layerDepth(n.step);
         n.rotations = static_cast<uint64_t>(n.step.perUnit.rotations) *

@@ -82,9 +82,10 @@ struct NetworkGraph
     WorkloadModel toModel() const;
 
     /**
-     * Topological execution order (Kahn, smallest node id first, so
-     * the order is deterministic and chain graphs keep their authored
-     * order).  Returns false with `err` set on a cycle.
+     * Topological execution order (Kahn over a min-heap of ready ids,
+     * smallest id first, so the order is deterministic and chain graphs
+     * keep their authored order; O((n + E) log n)).  Returns false with
+     * `err` set on a cycle.
      */
     bool topoOrder(std::vector<uint32_t>& order, SpecError& err) const;
 
@@ -104,6 +105,8 @@ struct NetworkGraph
      * validate()-clean graph.
      */
     void annotateLevels();
+    /** The same walk over an already computed topoOrder(). */
+    void annotateLevels(const std::vector<uint32_t>& order);
 
     /** Multi-line human-readable dump (CLI --dump-graph). */
     std::string describe() const;

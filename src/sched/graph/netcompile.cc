@@ -120,14 +120,9 @@ bootPlanPass(const std::vector<Step>& in, size_t max_limbs,
 std::vector<ExecUnit>
 partitionNetwork(const PrototypeSpec& spec, const OpCostModel& cost,
                  const NetworkModel& net, const NetworkGraph& graph,
-                 OptLevel level, NetOptReport& report)
+                 const std::vector<uint32_t>& order, OptLevel level,
+                 NetOptReport& report)
 {
-    std::vector<uint32_t> order;
-    SpecError err;
-    if (!graph.topoOrder(order, err))
-        fatal("partitionNetwork on an invalid graph: %s",
-              err.describe().c_str());
-
     std::vector<Step> steps;
     steps.reserve(order.size());
     for (uint32_t id : order)

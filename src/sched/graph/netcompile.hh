@@ -104,14 +104,14 @@ struct NetOptReport
     std::string describe() const;
 };
 
-/** Run the cross-step passes and cut the post-pass step list into
- *  units, without compiling any Program; `report` receives the pass
- *  statistics.  The graph must topo-order (fatals on a cycle; callers
- *  validate() first and report the SpecError). */
+/** Run the cross-step passes over `graph`'s layers in `order` (its
+ *  topoOrder()) and cut the post-pass step list into units, without
+ *  compiling any Program; `report` receives the pass statistics. */
 std::vector<ExecUnit> partitionNetwork(const PrototypeSpec& spec,
                                        const OpCostModel& cost,
                                        const NetworkModel& net,
                                        const NetworkGraph& graph,
+                                       const std::vector<uint32_t>& order,
                                        OptLevel level,
                                        NetOptReport& report);
 

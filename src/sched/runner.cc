@@ -120,11 +120,6 @@ InferenceRunner::planUnitCount(const WorkloadModel& workload,
     return hydra::planUnitCount(spec_, cost_, *net_, workload, level);
 }
 
-namespace {
-
-/** Project a machine-global fault plan onto the live cards of a job:
- *  per-card entries are re-keyed to local indices, entries for cards
- *  outside `alive` are dropped, and kill ticks stay absolute. */
 FaultPlan
 planForGroup(const FaultPlan& plan, const std::vector<size_t>& alive)
 {
@@ -141,8 +136,6 @@ planForGroup(const FaultPlan& plan, const std::vector<size_t>& alive)
     }
     return out;
 }
-
-} // namespace
 
 InferenceResult
 InferenceRunner::execFaulted(const PrototypeSpec& sub,

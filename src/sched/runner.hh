@@ -69,6 +69,16 @@ struct CardGroup
 PrototypeSpec groupSubSpec(const PrototypeSpec& spec,
                            const CardGroup& group);
 
+/**
+ * Project a machine-global fault plan onto the live cards of a job:
+ * per-card entries (stragglers, kills) are re-keyed to local indices,
+ * i.e. positions in `alive`; entries for other cards are dropped, and
+ * kill ticks stay absolute.  The one projection both the executor and
+ * the serving JobCache (serve/jobcache.hh) see.
+ */
+FaultPlan planForGroup(const FaultPlan& plan,
+                       const std::vector<size_t>& alive);
+
 /** Execution record of one step. */
 struct StepResult
 {

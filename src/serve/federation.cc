@@ -418,10 +418,11 @@ struct Engine
 
     /**
      * Execute units [first, first + count) of `plan` on `cards` from
-     * now.  With `memo` the window replays from the JobCache (span-
-     * exact, serve/jobcache.hh) and a miss is memoized; only fault-free
-     * clusters may memoize, so absolute-tick faults always land in a
-     * real execution.
+     * now.  With `memo` the window replays from the JobCache when the
+     * replay is pure (no kill on the group's cards reaches it; serve/
+     * jobcache.hh), and an executed window is memoized when it was
+     * pure, so every kill lands in a real execution.  Canary probes
+     * pass memo = false: a replay would observe nothing.
      */
     JobOutcome
     runWindow(const ClusterRt& cl, const ExecPlan& plan,
@@ -430,31 +431,31 @@ struct Engine
     {
         Tick now = eq.now();
         JobOutcome out;
-        auto setEnds = [&](const std::vector<Tick>& rel) {
-            out.stepEnds.reserve(rel.size());
-            for (Tick t : rel)
-                out.stepEnds.push_back(now + t);
-        };
-        if (const CachedJob* hit =
-                memo ? jobCache.lookup(plan.key, cards.cards, first,
-                                       count)
-                     : nullptr) {
-            out.ok = hit->ok;
-            out.span = hit->span;
-            setEnds(hit->stepEnds);
-            return out;
+        WindowFaults wf =
+            memo ? WindowFaults::of(cl.faults, cards.cards) : WindowFaults{};
+        const CachedJob* job =
+            memo ? jobCache.lookup(plan.key, cards.cards, first, count, wf,
+                                   now)
+                 : nullptr;
+        CachedJob ran;
+        if (!job) {
+            InferenceResult res = runner.runJob(plan, cards, now, cl.faults,
+                                                retry, first, count);
+            ran = CachedJob::of(res, now);
+            out.failedCards = std::move(res.failedCards);
+            if (memo)
+                jobCache.insert(plan.key, cards.cards, first, count, wf,
+                                now, ran);
+            job = &ran;
         }
-        InferenceResult res = runner.runJob(plan, cards, now, cl.faults,
-                                            retry, first, count);
-        if (memo)
-            jobCache.insert(plan.key, cards.cards, first, count, res);
-        out.ok = res.ok();
-        out.span = res.total.makespan;
-        out.failedCards = std::move(res.failedCards);
-        out.redispatches = res.redispatches;
-        out.recoveryPenalty = res.recoveryPenalty;
-        out.timedOut = res.total.timedOutTransfers;
-        setEnds(res.stepEnds);
+        out.ok = job->ok;
+        out.span = job->span;
+        out.redispatches = job->redispatches;
+        out.recoveryPenalty = job->recoveryPenalty;
+        out.timedOut = job->timedOut;
+        out.stepEnds.reserve(job->stepEnds.size());
+        for (Tick t : job->stepEnds)
+            out.stepEnds.push_back(now + t);
         return out;
     }
 
@@ -484,13 +485,13 @@ struct Engine
         jr.group = g.id;
         jr.start = now;
         jr.weight = r.spilled ? 2 : 1;
-        // Only fault-free clusters memoize windows or slice them: a
-        // slice discards the tail of the dispatched window, which would
-        // silently discard tail-resident fault effects.
-        const bool faultFree = cl.faults.empty();
+        // Every cluster memoizes its pure windows, but only fault-free
+        // clusters slice them: a slice discards the tail of the
+        // dispatched window, which would silently discard tail-resident
+        // fault effects.
         jr.out = runWindow(cl, plan, g.cards, first, total - first,
-                           faultFree);
-        disc->started(id, jr, faultFree);
+                           /*memo=*/true);
+        disc->started(id, jr, cl.faults.empty());
         eq.schedule(now + jr.out.span, [this, id] { onComplete(id); });
     }
 
@@ -824,6 +825,8 @@ struct Engine
         stats.progCacheEntries = pc.entries;
         stats.jobCacheHits = jobCache.hits();
         stats.jobCacheMisses = jobCache.misses();
+        stats.jobCacheFaultedHits = jobCache.faultedHits();
+        stats.jobCacheFaultedMisses = jobCache.faultedMisses();
         disc->report(stats);
         for (const auto& cl : clusters) {
             for (const auto& g : cl.fleet.groups()) {

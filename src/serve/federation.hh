@@ -20,12 +20,13 @@
  * Clock composition: the serve clock is absolute virtual time.  Jobs
  * dispatched at t0 run with the cluster executor's time origin set to
  * t0, so FaultPlan::cardFailAt ticks are absolute serve-clock times
- * and a kill lands in whatever job (or idle period) covers it.  Jobs
- * on a cluster with any local fault injection execute for real;
- * fault-free clusters replay memoized unit windows from the JobCache
- * (serve/jobcache.hh), span-exact.  Executed jobs resolve their
- * compiled Programs through the shared ProgramCache.  Both keep
- * million-request simulations fast and bit-deterministic.
+ * and a kill lands in whatever job (or idle period) covers it.  Every
+ * cluster replays memoized unit windows from the JobCache
+ * (serve/jobcache.hh), span-exact, as long as the window is pure: no
+ * kill on the group's cards reaches it.  A window a kill can reach
+ * executes for real.  Executed jobs resolve their compiled Programs
+ * through the shared ProgramCache.  Both keep million-request
+ * simulations fast and bit-deterministic.
  *
  * Card faults: transient faults (drop/corrupt/degrade) apply inside
  * every job; permanent card kills are consumed by the job in flight

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/logging.hh"
 
@@ -48,15 +49,6 @@ splitOn(const std::string& s, char sep)
     return out;
 }
 
-TenantSpec*
-findTenant(std::vector<TenantSpec>& tenants, const std::string& name)
-{
-    for (auto& t : tenants)
-        if (t.name == name)
-            return &t;
-    return nullptr;
-}
-
 } // namespace
 
 bool
@@ -64,11 +56,28 @@ ServeSpec::tryParse(const std::string& spec, ServeSpec& out,
                     SpecError& err)
 {
     ServeSpec parsed;
+    // Tenant name -> index into parsed.tenants: duplicate checks and
+    // by-name lookups stay O(1) however many tenants a `tenants=N:`
+    // block expands.
+    std::unordered_map<std::string, size_t> tenantIndex;
     // Per-tenant `opt=` assignments win over a spec-wide `opt=` default
     // regardless of item order; the default is applied at the end to
     // every tenant without an explicit level (including trace-implied
     // ones).  Index-parallel with parsed.tenants.
     std::vector<char> explicitOpt;
+    constexpr size_t kUndeclared = static_cast<size_t>(-1);
+    auto indexOf = [&](const std::string& name) {
+        auto it = tenantIndex.find(name);
+        return it == tenantIndex.end() ? kUndeclared : it->second;
+    };
+    // False (nothing added) when the name is already declared.
+    auto addTenant = [&](TenantSpec&& t) {
+        if (!tenantIndex.emplace(t.name, parsed.tenants.size()).second)
+            return false;
+        parsed.tenants.push_back(std::move(t));
+        explicitOpt.push_back(0);
+        return true;
+    };
     bool optDefaultSet = false;
     OptLevel optDefault = OptLevel::Safe;
     std::string item;
@@ -178,20 +187,18 @@ ServeSpec::tryParse(const std::string& spec, ServeSpec& out,
                             f[base + 1]);
             }
             if (key == "tenant") {
-                if (findTenant(parsed.tenants, t.name))
-                    return fail("duplicate tenant", t.name);
-                parsed.tenants.push_back(std::move(t));
-                explicitOpt.push_back(0);
+                std::string name = t.name;
+                if (!addTenant(std::move(t)))
+                    return fail("duplicate tenant", name);
             } else {
                 // Bulk expansion: COUNT clones named PREFIX#i, all
                 // sharing the template's mode/workload/rate.
                 for (size_t i = 0; i < count; ++i) {
                     TenantSpec ti = t;
                     ti.name = strf("%s#%zu", t.name.c_str(), i);
-                    if (findTenant(parsed.tenants, ti.name))
-                        return fail("duplicate tenant", ti.name);
-                    parsed.tenants.push_back(std::move(ti));
-                    explicitOpt.push_back(0);
+                    std::string name = ti.name;
+                    if (!addTenant(std::move(ti)))
+                        return fail("duplicate tenant", name);
                 }
             }
         } else if (key == "prio") {
@@ -210,8 +217,8 @@ ServeSpec::tryParse(const std::string& spec, ServeSpec& out,
                         t.priority = static_cast<int>(p);
                         ++matched;
                     }
-            } else if (TenantSpec* t = findTenant(parsed.tenants, f[0])) {
-                t->priority = static_cast<int>(p);
+            } else if (size_t i = indexOf(f[0]); i != kUndeclared) {
+                parsed.tenants[i].priority = static_cast<int>(p);
                 ++matched;
             }
             if (!matched)
@@ -257,13 +264,10 @@ ServeSpec::tryParse(const std::string& spec, ServeSpec& out,
                             explicitOpt[i] = 1;
                             ++matched;
                         }
-                } else {
-                    for (size_t i = 0; i < parsed.tenants.size(); ++i)
-                        if (parsed.tenants[i].name == f[0]) {
-                            parsed.tenants[i].opt = lv;
-                            explicitOpt[i] = 1;
-                            ++matched;
-                        }
+                } else if (size_t i = indexOf(f[0]); i != kUndeclared) {
+                    parsed.tenants[i].opt = lv;
+                    explicitOpt[i] = 1;
+                    ++matched;
                 }
                 if (!matched)
                     return fail("opt names an undeclared tenant "
@@ -326,14 +330,12 @@ ServeSpec::tryParse(const std::string& spec, ServeSpec& out,
     // Trace entries for undeclared tenants implicitly declare a
     // trace-only tenant (replay convenience).
     for (const auto& e : parsed.trace) {
-        if (!findTenant(parsed.tenants, e.tenant)) {
-            TenantSpec t;
-            t.name = e.tenant;
-            t.mode = ArrivalMode::Trace;
-            t.workload = e.workload;
-            t.opt = optDefault;
-            parsed.tenants.push_back(std::move(t));
-        }
+        TenantSpec t;
+        t.name = e.tenant;
+        t.mode = ArrivalMode::Trace;
+        t.workload = e.workload;
+        t.opt = optDefault;
+        addTenant(std::move(t));
     }
     out = std::move(parsed);
     return true;

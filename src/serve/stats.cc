@@ -269,13 +269,16 @@ ServeStats::toJson(const std::string& machine,
     s += strf("\"caches\": {\"program\": {\"hits\": %llu, "
               "\"misses\": %llu, \"evictions\": %llu, "
               "\"entries\": %llu}, "
-              "\"job\": {\"hits\": %llu, \"misses\": %llu}}, ",
+              "\"job\": {\"hits\": %llu, \"misses\": %llu, "
+              "\"faulted_hits\": %llu, \"faulted_misses\": %llu}}, ",
               static_cast<unsigned long long>(progCacheHits),
               static_cast<unsigned long long>(progCacheMisses),
               static_cast<unsigned long long>(progCacheEvictions),
               static_cast<unsigned long long>(progCacheEntries),
               static_cast<unsigned long long>(jobCacheHits),
-              static_cast<unsigned long long>(jobCacheMisses));
+              static_cast<unsigned long long>(jobCacheMisses),
+              static_cast<unsigned long long>(jobCacheFaultedHits),
+              static_cast<unsigned long long>(jobCacheFaultedMisses));
     s += "\"faults\": {\"failed_cards\": [";
     for (size_t i = 0; i < failedCards.size(); ++i)
         s += strf("%s%zu", i ? ", " : "", failedCards[i]);
@@ -428,6 +431,11 @@ ServeStats::describe() const
                   static_cast<unsigned long long>(jobCacheHits),
                   static_cast<unsigned long long>(jobCacheMisses));
     }
+    if (jobCacheFaultedHits || jobCacheFaultedMisses)
+        s += strf("job cache on faulted clusters: %llu hit(s) / %llu "
+                  "miss(es)\n",
+                  static_cast<unsigned long long>(jobCacheFaultedHits),
+                  static_cast<unsigned long long>(jobCacheFaultedMisses));
     if (progCacheHits || progCacheMisses)
         s += strf("program cache: %llu hit(s) / %llu miss(es), %llu "
                   "eviction(s), %llu entrie(s)\n",

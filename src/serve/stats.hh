@@ -143,10 +143,17 @@ struct ServeStats
     uint64_t executedTicks = 0;
     /** Longest any completed request waited before first dispatch. */
     Tick maxWaitTicks = 0;
-    /** Fault-free job-result cache effectiveness.  Counted under
-     *  both policies; hash() folds them only for non-fifo runs. */
+    /** Job-result cache effectiveness on fault-free clusters.
+     *  Counted under both policies; hash() folds them only for
+     *  non-fifo runs. */
     uint64_t jobCacheHits = 0;
     uint64_t jobCacheMisses = 0;
+    /** Job-result cache lookups from clusters with local fault
+     *  injection (pure windows only, serve/jobcache.hh).  Observability
+     *  only, NEVER folded into hash(): they count how a run was
+     *  simulated, not what it served. */
+    uint64_t jobCacheFaultedHits = 0;
+    uint64_t jobCacheFaultedMisses = 0;
 
     /** Process-wide ProgramCache activity attributed to this run
      *  (hit/miss/eviction deltas over the run; entries is the

@@ -627,6 +627,82 @@ TEST(GraphIR, BranchAndJoinValidatesAndOrdersDeterministically)
     EXPECT_EQ(back.steps[3].name, "join");
 }
 
+TEST(GraphIR, HeapKahnMatchesTheSmallestReadyIdScan)
+{
+    // The reference is the original O(n (n + E)) Kahn: each round scans
+    // for the smallest unfinished id with no pending in-edge.  Random
+    // graphs (DAGs, cycles, duplicate edges, out-of-range ends) must
+    // give the same order or the same cycle token.
+    auto reference = [](const NetworkGraph& g, std::vector<uint32_t>& order,
+                        std::string& token) {
+        size_t n = g.nodes.size();
+        std::vector<size_t> indeg(n, 0);
+        for (const auto& e : g.edges)
+            if (e.dst < n)
+                ++indeg[e.dst];
+        std::vector<bool> done(n, false);
+        order.clear();
+        for (size_t picked = 0; picked < n; ++picked) {
+            size_t next = n;
+            for (size_t i = 0; i < n; ++i)
+                if (!done[i] && indeg[i] == 0) {
+                    next = i;
+                    break;
+                }
+            if (next == n) {
+                for (size_t i = 0; i < n; ++i)
+                    if (!done[i]) {
+                        token = g.nodes[i].step.name;
+                        break;
+                    }
+                return false;
+            }
+            done[next] = true;
+            order.push_back(static_cast<uint32_t>(next));
+            for (const auto& e : g.edges)
+                if (e.src == next && e.dst < n)
+                    --indeg[e.dst];
+        }
+        return true;
+    };
+    uint64_t rng = 0x70b0;
+    auto next = [&rng] {
+        rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+        return rng >> 33;
+    };
+    size_t cyclic = 0;
+    for (int iter = 0; iter < 500; ++iter) {
+        WorkloadModel m;
+        m.name = "rand";
+        size_t n = 1 + next() % 24;
+        for (size_t i = 0; i < n; ++i)
+            m.steps.push_back(makeConvStep("n" + std::to_string(i), 8));
+        NetworkGraph g = NetworkGraph::fromModel(m);
+        g.edges.clear();
+        size_t e = next() % (3 * n);
+        bool dag = next() % 2;
+        for (size_t k = 0; k < e; ++k) {
+            uint32_t a = static_cast<uint32_t>(next() % (n + 1));
+            uint32_t b = static_cast<uint32_t>(next() % (n + 1));
+            if (dag && a >= b)
+                continue;
+            g.edges.push_back({a, b, 1});
+        }
+        std::vector<uint32_t> want, got;
+        std::string wantToken;
+        SpecError err;
+        bool ok = reference(g, want, wantToken);
+        ASSERT_EQ(g.topoOrder(got, err), ok) << "iter " << iter;
+        if (ok)
+            EXPECT_EQ(got, want) << "iter " << iter;
+        else {
+            ++cyclic;
+            EXPECT_EQ(err.token, wantToken) << "iter " << iter;
+        }
+    }
+    EXPECT_GT(cyclic, 50u);
+}
+
 TEST(ExecPlanPath, DagSafePlansAreTickIdenticalAcrossReruns)
 {
     NetworkGraph g = diamondGraph();

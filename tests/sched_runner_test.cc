@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 
 #include "baselines/prototypes.hh"
 #include "sched/execplan.hh"
@@ -243,6 +244,71 @@ TEST(RunnerJobs, PreemptedResumeFingerprintIsExact)
         for (Tick e : tail.stepEnds)
             ends.push_back(head.total.makespan + e);
         EXPECT_EQ(ends, full.stepEnds) << "cut " << cut;
+    }
+}
+
+TEST(RunnerJobs, KillFreeWindowsAreStartInvariant)
+{
+    // The serving JobCache replays a faulted window at any start tick
+    // as long as no kill can reach it.  That is sound only because
+    // every fault other than a kill is start-invariant: drop and
+    // corrupt draws key on (seed, msg, attempt), and stragglers and
+    // link degradation are static factors.  Random kill-free group
+    // projections (kills only on cards outside the group, which the
+    // projection drops) must give the same outcome at two start ticks.
+    InferenceRunner runner{hydraMSpec()};
+    WorkloadModel wl = makeResNet18();
+    std::mt19937_64 rng(20261019);
+    for (int trial = 0; trial < 12; ++trial) {
+        CardGroup group;
+        for (size_t c = 0; c < 8; ++c)
+            if (rng() % 3 != 0)
+                group.cards.push_back(c);
+        if (group.cards.empty())
+            group.cards.push_back(rng() % 8);
+        std::shared_ptr<const ExecPlan> plan =
+            runner.planForJob(wl, group);
+
+        FaultPlan faults;
+        faults.seed = rng();
+        faults.dropRate = static_cast<double>(rng() % 4) * 0.02;
+        faults.corruptRate = static_cast<double>(rng() % 3) * 0.02;
+        faults.linkDegrade = 1.0 + static_cast<double>(rng() % 5) * 0.25;
+        faults.dropFirstAttempts = static_cast<uint32_t>(rng() % 2);
+        for (size_t c = 0; c < 8; ++c) {
+            if (rng() % 4 == 0)
+                faults.stragglers[c] =
+                    1.0 + static_cast<double>(rng() % 8) * 0.25;
+            bool inGroup = std::binary_search(group.cards.begin(),
+                                              group.cards.end(), c);
+            if (!inGroup && rng() % 3 == 0)
+                faults.cardFailAt[c] = secondsToTicks(
+                    static_cast<double>(rng() % 20));
+        }
+        RetryPolicy retry;
+        retry.timeout =
+            rng() % 2 ? secondsToTicks(
+                            static_cast<double>(5 + rng() % 50) * 1e-6)
+                      : 0;
+        size_t first = rng() % plan->size();
+        size_t count = 1 + rng() % (plan->size() - first);
+
+        Tick t0 = secondsToTicks(static_cast<double>(rng() % 100));
+        Tick t1 = t0 + secondsToTicks(
+                           1.0 + static_cast<double>(rng() % 5000));
+        InferenceResult a =
+            runner.runJob(*plan, group, t0, faults, retry, first, count);
+        InferenceResult b =
+            runner.runJob(*plan, group, t1, faults, retry, first, count);
+        SCOPED_TRACE(testing::Message() << "trial " << trial);
+        EXPECT_EQ(a.ok(), b.ok());
+        EXPECT_EQ(a.total.makespan, b.total.makespan);
+        EXPECT_EQ(a.stepEnds, b.stepEnds);
+        EXPECT_EQ(a.total.timedOutTransfers, b.total.timedOutTransfers);
+        EXPECT_EQ(a.redispatches, b.redispatches);
+        EXPECT_EQ(a.recoveryPenalty, b.recoveryPenalty);
+        EXPECT_TRUE(a.failedCards.empty());
+        EXPECT_EQ(a.total.fingerprint(), b.total.fingerprint());
     }
 }
 

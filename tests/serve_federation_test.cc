@@ -15,6 +15,7 @@
 #include "sched/execplan.hh"
 #include "sched/progcache.hh"
 #include "serve/federation.hh"
+#include "serve/jobcache.hh"
 #include "workloads/model.hh"
 
 namespace hydra {
@@ -95,13 +96,16 @@ TEST(ServeSim, JobsReuseCompiledPrograms)
     ProgramCache& cache = ProgramCache::global();
     cache.clear();
     cache.resetStats();
-    // A straggler puts fault injection on the cluster, so every job
-    // executes for real; identical (workload, group) jobs still share
-    // compiled Programs: after the first job of each class every step
-    // lookup hits.
+    // A straggler puts fault injection on the cluster: its windows
+    // memoize in the faulted key space, counted apart from the
+    // fault-free counters.  The windows that do execute share compiled
+    // Programs: after the first job of each class every step lookup
+    // hits.
     ServeStats st = runFed("hydra-m", kMixed, "straggle=0:1.5");
     ASSERT_GT(st.completed, 1u);
     EXPECT_EQ(st.jobCacheHits + st.jobCacheMisses, 0u);
+    EXPECT_GT(st.jobCacheFaultedHits, 0u);
+    EXPECT_GT(st.jobCacheFaultedMisses, 0u);
     ProgramCache::Stats cs = cache.stats();
     EXPECT_GT(cs.hits, 0u);
     EXPECT_GT(cs.hitRate(), 0.5);
@@ -483,6 +487,172 @@ TEST(Federation, DegradedRedispatchUnderServingLoad)
 
     ServeStats again = runFed("hydra-m", spec, "kill=11@10");
     EXPECT_EQ(st.hash(), again.hash());
+}
+
+// Two 8-card clusters with a 4-card and a 2-card (floor 2) resnet18
+// group each; cards 6 and 7 of each cluster (globals 6, 7, 14, 15)
+// belong to no group.  Closed-loop pressure keeps every group busy,
+// so cake slices on fault-free clusters and steals across them.
+const char* kMatrixPool =
+    "seed=11,duration=120,clusters=2,group=resnet18:4,"
+    "group=resnet18:2:2,tenant=pool:closed:resnet18:8:0.5";
+
+TEST(Federation, FaultedSpecMatrixIsPinned)
+{
+    // Hashes and fault-free JobCache counters of faulted runs, pinned
+    // before faulted clusters could memoize pure windows: memoizing a
+    // window no kill can reach must change neither the outcome nor
+    // the fault-free clusters' cache traffic.
+    struct Pin
+    {
+        const char* faults;
+        double timeoutMs; // per-attempt retry timer; 0 = none
+        uint64_t fifoHash, fifoHits, fifoMisses;
+        uint64_t cakeHash, cakeHits, cakeMisses;
+    };
+    const Pin pins[] = {
+        // Cluster 1's 4-card group straggles.
+        {"straggle=9:1.5", 0,
+         0xe72c4168e52bdf9dull, 15, 2,
+         0x0be40c8be6a587d9ull, 175, 48},
+        // Transient transfer faults everywhere under a 2 ms retry
+        // timer: timeouts strain the clusters and some jobs fail.
+        {"seed=3,drop=0.02,corrupt=0.01", 2,
+         0x7568a82b20fe055cull, 0, 0,
+         0x103e7ca038db4d5full, 0, 0},
+        {"degrade=1.5", 0,
+         0xed0bc5ac84e7c3d4ull, 0, 0,
+         0x3e9947e88adf9258ull, 0, 0},
+        {"dropfirst=1", 0,
+         0x1b04f9808f587884ull, 0, 0,
+         0x1a02fa37859ea668ull, 0, 0},
+        // A kill mid-run dissolves cluster 1's 2-card group.
+        {"kill=13@20", 0,
+         0x5c90aa4befaf690aull, 15, 2,
+         0xe175728d03dcbe9aull, 166, 50},
+        // A kill at tick 0 shrinks cluster 1's 4-card group.
+        {"kill=9@0", 0,
+         0xee03cc88a46c95ccull, 14, 2,
+         0x9985572900c6c7ebull, 152, 48},
+        // A kill on a card no group owns.
+        {"kill=15@20", 0,
+         0xbe5db4f6af4afc18ull, 14, 2,
+         0xe7532c9e50bdb6d3ull, 168, 47},
+        // All of the above at once, under a 3 ms retry timer.
+        {"seed=5,drop=0.02,corrupt=0.01,degrade=1.25,dropfirst=1,"
+         "straggle=10:2,kill=13@20,kill=8@0,kill=15@20",
+         3,
+         0xd6ab2dd76d58688full, 0, 0,
+         0xcf028d8b8aeffb6full, 0, 0},
+    };
+    for (const Pin& p : pins) {
+        RetryPolicy retry;
+        if (p.timeoutMs > 0)
+            retry.timeout = secondsToTicks(p.timeoutMs * 1e-3);
+        for (bool cake : {false, true}) {
+            std::string spec =
+                std::string(cake ? "sched=cake," : "") + kMatrixPool;
+            Federation fed(machineByName("hydra-m"),
+                           ServeSpec::parse(spec),
+                           FaultPlan::parse(p.faults), retry,
+                           HealthPolicy{});
+            ServeStats st = fed.run();
+            SCOPED_TRACE(testing::Message()
+                         << (cake ? "cake " : "fifo ") << p.faults);
+            expectAccounted(st);
+            EXPECT_GT(st.completed, 0u);
+            EXPECT_EQ(st.hash(), cake ? p.cakeHash : p.fifoHash)
+                << std::hex << st.hash();
+            EXPECT_EQ(st.jobCacheHits, cake ? p.cakeHits : p.fifoHits);
+            EXPECT_EQ(st.jobCacheMisses,
+                      cake ? p.cakeMisses : p.fifoMisses);
+        }
+    }
+}
+
+TEST(JobCacheUnit, ReplaysOnlyWindowsNoKillReaches)
+{
+    const std::vector<size_t> cards = {4, 5, 6};
+    FaultPlan local;
+    local.seed = 7;
+    local.stragglers[5] = 2.0;
+    local.cardFailAt[6] = 1000;
+    local.cardFailAt[1] = 10; // outside the group
+    WindowFaults wf = WindowFaults::of(local, cards);
+    EXPECT_NE(wf.word, 0u);
+    EXPECT_EQ(wf.killAt, 1000u);
+
+    // The word leaves kills out and sees stragglers by local index.
+    FaultPlan noKill = local;
+    noKill.cardFailAt.clear();
+    EXPECT_EQ(WindowFaults::of(noKill, cards).word, wf.word);
+    FaultPlan shifted;
+    shifted.seed = 7;
+    shifted.stragglers[3] = 2.0;
+    EXPECT_EQ(WindowFaults::of(shifted, {2, 3, 9}).word, wf.word);
+    EXPECT_EQ(WindowFaults::of(shifted, {2, 3, 9}).killAt, ~Tick{0});
+    shifted.stragglers[3] = 2.5;
+    EXPECT_NE(WindowFaults::of(shifted, {2, 3, 9}).word, wf.word);
+    EXPECT_EQ(WindowFaults::of(FaultPlan{}, cards).word, 0u);
+
+    JobCache cache;
+    CachedJob job;
+    job.span = job.reach = 300;
+    job.stepEnds = {100, 300};
+    // Executed from 700 the window reached the kill: not memoized.
+    cache.insert("plan", cards, 0, 2, wf, 700, job);
+    EXPECT_EQ(cache.lookup("plan", cards, 0, 2, wf, 0), nullptr);
+    cache.insert("plan", cards, 0, 2, wf, 0, job);
+    EXPECT_NE(cache.lookup("plan", cards, 0, 2, wf, 699), nullptr);
+    // A replay from 700 would end on the kill tick: it must execute.
+    EXPECT_EQ(cache.lookup("plan", cards, 0, 2, wf, 700), nullptr);
+    EXPECT_EQ(cache.lookup("plan", cards, 0, 2, wf, 2000), nullptr);
+    EXPECT_EQ(cache.faultedHits(), 1u);
+    EXPECT_EQ(cache.faultedMisses(), 3u);
+
+    // A failed window reaches its failure tick, not just its span.
+    CachedJob failed;
+    failed.ok = false;
+    failed.span = 100;
+    failed.reach = 500;
+    cache.insert("plan", cards, 1, 1, wf, 0, failed);
+    EXPECT_NE(cache.lookup("plan", cards, 1, 1, wf, 499), nullptr);
+    EXPECT_EQ(cache.lookup("plan", cards, 1, 1, wf, 500), nullptr);
+
+    // Fault-free lookups live in their own key space and counters.
+    EXPECT_EQ(cache.lookup("plan", cards, 0, 2, WindowFaults{}, 0),
+              nullptr);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), 0u);
+}
+
+TEST(Federation, KillReachingACachedWindowExecutesIt)
+{
+    // One client runs resnet18 back to back on one 8-card group, so
+    // the same whole-job window repeats; card 3 dies inside the fourth
+    // repetition.  The earlier repetitions replay from the JobCache,
+    // but the one the kill reaches must execute and re-dispatch.
+    PrototypeSpec machine = machineByName("hydra-m");
+    InferenceRunner runner(machine);
+    CardGroup all = CardGroup::contiguous(0, 8);
+    Tick span =
+        runner.runJob(*runner.planForJob(workloadByName("resnet18"), all),
+                      all, 0)
+            .total.makespan;
+    FaultPlan faults;
+    faults.cardFailAt[3] = 3 * span + span / 2;
+    Federation fed(machine,
+                   ServeSpec::parse("seed=1,duration=60,group=resnet18:8,"
+                                    "tenant=solo:closed:resnet18:1:0"),
+                   faults);
+    ServeStats st = fed.run();
+    expectAccounted(st);
+    EXPECT_GE(st.jobCacheFaultedHits, 2u);
+    EXPECT_EQ(st.redispatches, 1u);
+    EXPECT_GT(st.recoveryPenalty, 0u);
+    ASSERT_EQ(st.failedCards.size(), 1u);
+    EXPECT_EQ(st.failedCards[0], 3u);
+    EXPECT_EQ(st.jobCacheHits + st.jobCacheMisses, 0u);
 }
 
 TEST(Federation, SpilloverChargesAFairnessDeficit)

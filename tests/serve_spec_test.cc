@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "serve/spec.hh"
 #include "sync/fault.hh"
 
@@ -400,6 +401,195 @@ TEST(ServeSpecParse, FuzzedSpecsNeverCrashAndAlwaysDiagnose)
     }
     // The mutator must actually be exercising the failure paths.
     EXPECT_GT(rejected, 1000u);
+}
+
+/**
+ * Linear-scan oracle for the tenant-naming items of a serve spec:
+ * tenant=, tenants=, prio=, opt= and at=.  It returns the error
+ * message prefix and token the parser must report, or, when the spec
+ * is accepted, fills the tenant list it must produce (name, priority,
+ * level, in declaration order, trace-implied tenants last).
+ */
+struct OracleTenant
+{
+    std::string name;
+    int priority = 1;
+    OptLevel opt = OptLevel::Safe;
+};
+
+bool
+oracleParse(const std::vector<std::string>& items,
+            std::vector<OracleTenant>& out, std::string& msgPrefix,
+            std::string& token)
+{
+    std::vector<OracleTenant> ts;
+    std::vector<bool> explicitOpt;
+    std::vector<std::string> trace;
+    bool defaultSet = false;
+    OptLevel def = OptLevel::Safe;
+    auto find = [&](const std::string& n) -> OracleTenant* {
+        for (auto& t : ts)
+            if (t.name == n)
+                return &t;
+        return nullptr;
+    };
+    auto declare = [&](const std::string& n) {
+        if (find(n)) {
+            msgPrefix = "duplicate tenant";
+            token = n;
+            return false;
+        }
+        ts.push_back({n, 1, OptLevel::Safe});
+        explicitOpt.push_back(false);
+        return true;
+    };
+    // Apply `fn` to each tenant NAME (or NAME* prefix) selects.
+    auto select = [&](const std::string& sel, auto fn) {
+        size_t matched = 0;
+        bool prefix = !sel.empty() && sel.back() == '*';
+        std::string stem = prefix ? sel.substr(0, sel.size() - 1) : sel;
+        for (size_t i = 0; i < ts.size(); ++i)
+            if (prefix ? ts[i].name.compare(0, stem.size(), stem) == 0
+                       : ts[i].name == stem) {
+                fn(i);
+                ++matched;
+            }
+        return matched;
+    };
+    for (const std::string& item : items) {
+        std::string key = item.substr(0, item.find('='));
+        std::string val = item.substr(item.find('=') + 1);
+        std::vector<std::string> f;
+        for (size_t at = 0;;) {
+            size_t c = val.find(':', at);
+            f.push_back(val.substr(at, c - at));
+            if (c == std::string::npos)
+                break;
+            at = c + 1;
+        }
+        if (key == "tenant") {
+            if (!declare(f[0]))
+                return false;
+        } else if (key == "tenants") {
+            for (int i = 0; i < std::stoi(f[0]); ++i)
+                if (!declare(f[1] + "#" + std::to_string(i)))
+                    return false;
+        } else if (key == "prio") {
+            int p = std::stoi(f[1]);
+            if (!select(f[0], [&](size_t i) { ts[i].priority = p; })) {
+                msgPrefix = "prio names an undeclared tenant";
+                token = f[0];
+                return false;
+            }
+        } else if (key == "opt" && f.size() == 1) {
+            if (defaultSet) {
+                msgPrefix = "duplicate opt default";
+                token = val;
+                return false;
+            }
+            defaultSet = true;
+            def = f[0] == "safe" ? OptLevel::Safe : OptLevel::Aggressive;
+        } else if (key == "opt") {
+            OptLevel lv =
+                f[1] == "safe" ? OptLevel::Safe : OptLevel::Aggressive;
+            if (!select(f[0], [&](size_t i) {
+                    ts[i].opt = lv;
+                    explicitOpt[i] = true;
+                })) {
+                msgPrefix = "opt names an undeclared tenant";
+                token = f[0];
+                return false;
+            }
+        } else if (key == "at") {
+            trace.push_back(f[1]);
+        }
+    }
+    if (defaultSet)
+        for (size_t i = 0; i < ts.size(); ++i)
+            if (!explicitOpt[i])
+                ts[i].opt = def;
+    for (const std::string& n : trace)
+        if (!find(n))
+            ts.push_back({n, 1, def});
+    out = std::move(ts);
+    return true;
+}
+
+TEST(ServeSpecParse, TenantNamingMatchesALinearScanOracle)
+{
+    // Names collide on purpose: tenant=s#1 against tenants=N:s:...,
+    // prefix selectors against both, trace entries naming declared
+    // and undeclared tenants.
+    const char* names[] = {"a", "b", "s#0", "s#2", "t#1", "ab", "zz"};
+    const char* prefixes[] = {"s", "t", "a"};
+    const char* selectors[] = {"a", "b", "s#1", "t#0", "zz",
+                               "s*", "t*", "a*", "q*", "nope"};
+    uint64_t rng = 0x5eed5;
+    size_t accepted = 0, rejected = 0;
+    for (int iter = 0; iter < 3000; ++iter) {
+        std::vector<std::string> items;
+        size_t n = 1 + nextRand(rng) % 7;
+        for (size_t k = 0; k < n; ++k) {
+            switch (nextRand(rng) % 6) {
+            case 0:
+                items.push_back(std::string("tenant=") +
+                                names[nextRand(rng) % 7] +
+                                ":open:resnet18:1");
+                break;
+            case 1:
+                items.push_back(strf("tenants=%d:%s:closed:resnet20:1",
+                                     1 + static_cast<int>(nextRand(rng) % 3),
+                                     prefixes[nextRand(rng) % 3]));
+                break;
+            case 2:
+                items.push_back(strf("prio=%s:%d",
+                                     selectors[nextRand(rng) % 10],
+                                     static_cast<int>(nextRand(rng) % 3)));
+                break;
+            case 3:
+                items.push_back(strf(
+                    "opt=%s:%s", selectors[nextRand(rng) % 10],
+                    nextRand(rng) & 1 ? "safe" : "aggressive"));
+                break;
+            case 4:
+                items.push_back(nextRand(rng) & 1 ? "opt=safe"
+                                                  : "opt=aggressive");
+                break;
+            default:
+                items.push_back(std::string("at=1:") +
+                                names[nextRand(rng) % 7] + ":resnet18");
+                break;
+            }
+        }
+        std::string spec = "duration=10";
+        for (const auto& it : items)
+            spec += "," + it;
+
+        std::vector<OracleTenant> want;
+        std::string wantMsg, wantToken;
+        bool wantOk = oracleParse(items, want, wantMsg, wantToken);
+        ServeSpec got;
+        SpecError err;
+        bool ok = ServeSpec::tryParse(spec, got, err);
+        ASSERT_EQ(ok, wantOk) << spec << "\n" << err.describe();
+        if (!ok) {
+            ++rejected;
+            EXPECT_EQ(err.message.compare(0, wantMsg.size(), wantMsg), 0)
+                << spec << "\n" << err.describe();
+            EXPECT_EQ(err.token, wantToken) << spec;
+            continue;
+        }
+        ++accepted;
+        ASSERT_EQ(got.tenants.size(), want.size()) << spec;
+        for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got.tenants[i].name, want[i].name) << spec;
+            EXPECT_EQ(got.tenants[i].priority, want[i].priority) << spec;
+            EXPECT_EQ(got.tenants[i].opt, want[i].opt) << spec;
+        }
+    }
+    // Both outcomes must be well exercised.
+    EXPECT_GT(accepted, 500u);
+    EXPECT_GT(rejected, 500u);
 }
 
 TEST(FaultPlanParse, FuzzedSpecsNeverCrashAndAlwaysDiagnose)
