@@ -9,13 +9,17 @@
  * case to `path`:
  *
  *   {"bench": "...", "case": "...", "wall_us": ..., "allocs": ...,
- *    "pool_hits": ..., "simd_level": "...", "repetitions": ...}
+ *    "pool_hits": ..., "simd_level": "...", "repetitions": ...,
+ *    "effective_cores": ...}
  *
  * wall_us is per-iteration wall time; allocs / pool_hits are
  * per-iteration BufferPool miss / hit counts captured by wrapping the
  * measurement loop in a PoolCounterScope.  simd_level records the
- * kernel dispatch level the run executed with (scalar/avx2/avx512) so
- * snapshots from different levels are never compared blind.  Any
+ * kernel dispatch level the run executed with (scalar/avx2/avx512/
+ * avx512ifma) so snapshots from different levels are never compared
+ * blind.  effective_cores is process CPU time over wall time while the
+ * case ran (all threads; a bench may set its own, measured over just
+ * its loop, which then takes precedence).  Any
  * further counter a bench sets in state.counters (e.g. the serving
  * bench's throughput_rps and latency percentiles) is passed through as
  * an extra field of the same name.  BENCH_micro.json /
@@ -35,8 +39,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <map>
 #include <string>
@@ -51,6 +57,34 @@
 #include "workloads/model.hh"
 
 namespace hydra::bench {
+
+/** Process CPU time over wall time since construction (or reset): the
+ *  effective core count of a measurement loop. */
+struct CoreMeter
+{
+    std::clock_t cpu0 = std::clock();
+    std::chrono::steady_clock::time_point wall0 =
+        std::chrono::steady_clock::now();
+
+    double
+    wallSeconds() const
+    {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - wall0)
+            .count();
+    }
+
+    double
+    effectiveCores() const
+    {
+        double wall = wallSeconds();
+        double cpu =
+            static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC;
+        return wall > 0 ? cpu / wall : 0.0;
+    }
+
+    void reset() { *this = CoreMeter{}; }
+};
 
 /** Run one machine over the four benchmarks; returns seconds per. */
 inline std::vector<double>
@@ -170,12 +204,17 @@ class JsonLinesReporter : public benchmark::BenchmarkReporter
     bool
     ReportContext(const Context&) override
     {
+        meter_.reset();
         return true;
     }
 
     void
     ReportRuns(const std::vector<Run>& runs) override
     {
+        // The case's whole run (estimation and measured iterations)
+        // lies between this report and the previous one.
+        double cores = meter_.effectiveCores();
+        meter_.reset();
         for (const Run& run : runs) {
             if (run.error_occurred)
                 continue;
@@ -197,6 +236,11 @@ class JsonLinesReporter : public benchmark::BenchmarkReporter
                           simdLevelName(simd::activeLevel()),
                           repetitions_);
             std::string record(line);
+            if (!run.counters.count("effective_cores")) {
+                std::snprintf(line, sizeof(line),
+                              ", \"effective_cores\": %.3f", cores);
+                record += line;
+            }
             // Every other user counter passes through by name, so
             // benches can export domain metrics (throughput, latency
             // percentiles) without touching the harness.
@@ -254,6 +298,7 @@ class JsonLinesReporter : public benchmark::BenchmarkReporter
     int repetitions_;
     std::vector<std::string> order_;
     std::map<std::string, Best> best_;
+    CoreMeter meter_;
 };
 
 /**

@@ -30,8 +30,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <ctime>
 #include <memory>
 #include <span>
 #include <vector>
@@ -44,6 +42,8 @@
 
 namespace hydra {
 namespace {
+
+using bench::CoreMeter;
 
 /** Everything a compile bench needs for one (machine, workload). */
 struct CompileSetup
@@ -67,32 +67,6 @@ struct CompileSetup
         return compileUnit(cost, *net, spec.cluster.totalCards(),
                            wl.logSlots, spec.mapping, {&step, 1}, level)
             .program;
-    }
-};
-
-/** Process CPU time over wall time since construction: the effective
- *  core count of a measurement loop. */
-struct CoreMeter
-{
-    std::clock_t cpu0 = std::clock();
-    std::chrono::steady_clock::time_point wall0 =
-        std::chrono::steady_clock::now();
-
-    double
-    wallSeconds() const
-    {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - wall0)
-            .count();
-    }
-
-    double
-    effectiveCores() const
-    {
-        double wall = wallSeconds();
-        double cpu =
-            static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC;
-        return wall > 0 ? cpu / wall : 0.0;
     }
 };
 

@@ -37,9 +37,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
-#include <ctime>
 #include <string>
 
 #include "baselines/prototypes.hh"
@@ -49,6 +47,8 @@
 
 namespace hydra {
 namespace {
+
+using bench::CoreMeter;
 
 /**
  * Earlier revisions of these specs offered so few requests (resnet18
@@ -173,8 +173,7 @@ serveCase(benchmark::State& state, const PrototypeSpec& spec,
     FaultPlan faults = FaultPlan::parse(fault_spec);
     ServeStats last;
     ProgramCache::Stats before = ProgramCache::global().stats();
-    std::clock_t cpu0 = std::clock();
-    auto wall0 = std::chrono::steady_clock::now();
+    CoreMeter meter;
     for (auto _ : state) {
         Federation fed(spec, serve, faults);
         last = fed.run();
@@ -182,11 +181,7 @@ serveCase(benchmark::State& state, const PrototypeSpec& spec,
     }
     // Effective cores: process CPU time (every thread) over wall time
     // across the measured loop.
-    double cpu = static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC;
-    double wall = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - wall0)
-                      .count();
-    state.counters["effective_cores"] = wall > 0 ? cpu / wall : 0.0;
+    state.counters["effective_cores"] = meter.effectiveCores();
     // Steady-state program reuse: every executed job compiles through
     // the shared ProgramCache, so across iterations almost every step
     // lookup should hit.

@@ -90,7 +90,8 @@ Bootstrapper::modRaise(const Ciphertext& ct) const
         for (size_t i = 0; i < n; ++i)
             centered[i] = q0.toCentered(coeff.limb(0)[i]);
         RnsPoly out = RnsPoly::fromSigned(ctx_.basis(), levels, false,
-                                          centered);
+                                          centered.data(),
+                                          q0.value() / 2);
         out.toNtt();
         return out;
     };
@@ -105,10 +106,14 @@ Bootstrapper::modRaise(const Ciphertext& ct) const
 std::pair<Ciphertext, Ciphertext>
 Bootstrapper::coeffToSlot(const Evaluator& eval, const Ciphertext& ct) const
 {
-    // w = V z; c_half = w + conj(w).
-    Ciphertext re = c2sLow_->apply(eval, ct);
+    // w = V z; c_half = w + conj(w).  Both halves transform the same
+    // ciphertext with the same bs, so they share one set of hoisted
+    // baby-step rotations.
+    std::vector<Ciphertext> baby = LinearTransform::babySteps(
+        eval, ct, {c2sLow_.get(), c2sHigh_.get()});
+    Ciphertext re = c2sLow_->applyBabySteps(eval, baby);
     eval.addInPlace(re, eval.conjugate(re));
-    Ciphertext im = c2sHigh_->apply(eval, ct);
+    Ciphertext im = c2sHigh_->applyBabySteps(eval, baby);
     eval.addInPlace(im, eval.conjugate(im));
     return {std::move(re), std::move(im)};
 }

@@ -1,5 +1,7 @@
 #include "fhe/evaluator.hh"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -18,6 +20,13 @@ checkScalesMatch(double a, double b)
     HYDRA_ASSERT(std::abs(a - b) <= 1e-6 * std::max(a, b),
                  "ciphertext scales do not match");
 }
+
+/** Keyswitch digits per MAC call: CkksParams caps the chain at 64. */
+constexpr size_t kMaxDigits = 64;
+
+/** Elements per gathered MAC call in hoisted rotations: bounds the
+ *  gather scratch at levels * (levels + 1) * 128 words. */
+constexpr size_t kGatherChunk = 128;
 
 /** Copy of p restricted to its first `levels` limbs (domain preserved). */
 RnsPoly
@@ -255,7 +264,7 @@ Evaluator::decomposeDigits(const RnsPoly& d) const
         i64* centered = reinterpret_cast<i64*>(scratch.data() + i * n);
         simd::kernels().toCenteredSpan(centered, src, n, qi.value());
         RnsPoly dig = RnsPoly::fromSigned(ctx_.basis(), levels, true,
-                                          centered);
+                                          centered, qi.value() / 2);
         dig.toNtt();
         digits[i] = std::move(dig);
     });
@@ -274,41 +283,66 @@ Evaluator::accumulateKey(const std::vector<RnsPoly>& digits,
     // Hoisting: the Galois map commutes with digit decomposition, so a
     // permutation of the precomputed NTT-form digits stands in for
     // decomposing the rotated polynomial.  The permutation is the same
-    // for every limb and digit, so it is fetched once from the memo and
-    // applied as a gather inside the accumulation loop.
-    const std::vector<size_t>* map = nullptr;
+    // for every limb and digit, so it is fetched once from the memo.
+    const size_t* map = nullptr;
     if (galois != 1)
-        map = &RnsPoly::nttAutomorphismMapCached(acc0.n(), galois);
+        map = RnsPoly::nttAutomorphismMapCached(acc0.n(), galois).data();
 
     // The levels+1 output limbs are independent: each accumulates every
-    // digit against its own key limb.  This is the dominant cost of
-    // mulRelin/rotate and the same limb-level parallelism the paper's
-    // compute units exploit, so the output-limb loop goes to the pool.
-    size_t nn = acc0.n();
-    // The hoisted-rotation variant gathers each digit limb through the
-    // Galois permutation into pooled scratch so the MAC below always
-    // runs on contiguous spans: one nn-word slice per output limb,
-    // acquired before the fork (scheduling-independent pool traffic).
+    // digit against its own key limb through macDigitsSpan, which may
+    // reduce each element once instead of once per digit.  This is the
+    // dominant cost of mulRelin/rotate and the same limb-level
+    // parallelism the paper's compute units exploit, so the output-limb
+    // loop goes to the pool.
+    const size_t nn = acc0.n();
+    const size_t nd = digits.size();
+    HYDRA_ASSERT(nd <= kMaxDigits, "too many keyswitch digits");
+    // The hoisted-rotation variant gathers the digit limbs through the
+    // Galois permutation into pooled scratch so the MAC always runs on
+    // contiguous spans, kGatherChunk elements of every digit at a time:
+    // nd chunks per output limb, acquired before the fork
+    // (scheduling-independent pool traffic).  The buffer is sized for
+    // the full chain so rotations at every level share one pool bucket.
+    const size_t chunk = std::min(nn, kGatherChunk);
+    const size_t top = ctx_.levels();
     PoolBuffer gathered;
     if (map)
-        gathered = BufferPool::global().acquire((levels + 1) * nn);
+        gathered = BufferPool::global().acquire((top + 1) * top * chunk);
     parallelFor(0, levels + 1, [&](size_t kpos) {
         size_t key_pos = kpos < levels ? kpos : key_special_pos;
         const Modulus& mj = acc0.mod(kpos);
         u64* a0 = acc0.limbData(kpos);
         u64* a1 = acc1.limbData(kpos);
-        for (size_t i = 0; i < digits.size(); ++i) {
-            const u64* dl = digits[i].limbData(kpos);
-            const u64* bkey = key.b[i].limbData(key_pos);
-            const u64* akey = key.a[i].limbData(key_pos);
-            if (map) {
-                u64* g = gathered.data() + kpos * nn;
-                for (size_t t = 0; t < nn; ++t)
-                    g[t] = dl[(*map)[t]];
-                dl = g;
+        std::array<const u64*, kMaxDigits> xs{}, bs{}, as{};
+        for (size_t i = 0; i < nd; ++i) {
+            xs[i] = digits[i].limbData(kpos);
+            bs[i] = key.b[i].limbData(key_pos);
+            as[i] = key.a[i].limbData(key_pos);
+        }
+        if (!map) {
+            simd::kernels().macDigitsSpan(a0, a1, xs.data(), bs.data(),
+                                          as.data(), nd, nn, mj);
+            return;
+        }
+        u64* g = gathered.data() + kpos * nd * chunk;
+        std::array<const u64*, kMaxDigits> gx{}, gb{}, ga{};
+        for (size_t t0 = 0; t0 < nn; t0 += chunk) {
+            const size_t len = std::min(chunk, nn - t0);
+            // size_t and u64 alias: restrict keeps the map out of the
+            // stores' reach so it is not reloaded per element.
+            const size_t* __restrict mp = map + t0;
+            for (size_t i = 0; i < nd; ++i) {
+                const u64* __restrict dl = xs[i];
+                u64* __restrict out = g + i * chunk;
+                for (size_t t = 0; t < len; ++t)
+                    out[t] = dl[mp[t]];
+                gx[i] = out;
+                gb[i] = bs[i] + t0;
+                ga[i] = as[i] + t0;
             }
-            simd::kernels().macPairSpan(a0, a1, dl, bkey, akey, nn,
-                                        mj);
+            simd::kernels().macDigitsSpan(a0 + t0, a1 + t0, gx.data(),
+                                          gb.data(), ga.data(), nd, len,
+                                          mj);
         }
     });
 

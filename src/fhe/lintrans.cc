@@ -77,24 +77,45 @@ LinearTransform::requiredRotations() const
 Ciphertext
 LinearTransform::apply(const Evaluator& eval, const Ciphertext& ct) const
 {
-    HYDRA_ASSERT(!diag_.empty(), "empty linear transform");
+    return applyBabySteps(eval, babySteps(eval, ct, {this}));
+}
+
+std::vector<Ciphertext>
+LinearTransform::babySteps(
+    const Evaluator& eval, const Ciphertext& ct,
+    std::initializer_list<const LinearTransform*> transforms)
+{
+    HYDRA_ASSERT(transforms.size() > 0, "no linear transform");
+    size_t bs = (*transforms.begin())->bs_;
     // Baby steps: rot_b(ct) for every b that some diagonal needs.
-    std::vector<bool> need(bs_, false);
-    for (const auto& [d, pt] : diag_)
-        need[d % bs_] = true;
+    std::vector<bool> need(bs, false);
+    for (const LinearTransform* lt : transforms) {
+        HYDRA_ASSERT(lt->bs_ == bs, "shared baby steps need one bs");
+        HYDRA_ASSERT(!lt->diag_.empty(), "empty linear transform");
+        for (const auto& [d, pt] : lt->diag_)
+            need[d % bs] = true;
+    }
 
     // Hoisted baby steps: one digit decomposition shared by all.
     std::vector<int> steps;
-    for (size_t b = 1; b < bs_; ++b)
+    for (size_t b = 1; b < bs; ++b)
         if (need[b])
             steps.push_back(static_cast<int>(b));
     std::vector<Ciphertext> hoisted = eval.rotateHoisted(ct, steps);
-    std::vector<Ciphertext> baby(bs_);
+    std::vector<Ciphertext> baby(bs);
     if (need[0])
         baby[0] = ct;
     for (size_t i = 0; i < steps.size(); ++i)
         baby[static_cast<size_t>(steps[i])] = std::move(hoisted[i]);
+    return baby;
+}
 
+Ciphertext
+LinearTransform::applyBabySteps(const Evaluator& eval,
+                                const std::vector<Ciphertext>& baby) const
+{
+    HYDRA_ASSERT(!diag_.empty(), "empty linear transform");
+    HYDRA_ASSERT(baby.size() == bs_, "baby-step count mismatch");
     bool have_total = false;
     Ciphertext total;
     for (size_t g = 0; g < gs_; ++g) {

@@ -12,6 +12,7 @@
 #ifndef HYDRA_FHE_LINTRANS_HH
 #define HYDRA_FHE_LINTRANS_HH
 
+#include <initializer_list>
 #include <map>
 #include <vector>
 
@@ -43,6 +44,21 @@ class LinearTransform
      * rescale); the result decodes to M * decode(ct).
      */
     Ciphertext apply(const Evaluator& eval, const Ciphertext& ct) const;
+
+    /**
+     * The baby steps rot_b(ct), b < bs, that a diagonal of any of
+     * `transforms` needs, hoisted over one digit decomposition; other
+     * entries stay empty.  Transforms applied to the same ciphertext
+     * share them (CoeffToSlot's two halves).  All transforms must have
+     * the same baby-step count.
+     */
+    static std::vector<Ciphertext>
+    babySteps(const Evaluator& eval, const Ciphertext& ct,
+              std::initializer_list<const LinearTransform*> transforms);
+
+    /** apply() on baby steps from babySteps(); bit-identical to it. */
+    Ciphertext applyBabySteps(const Evaluator& eval,
+                              const std::vector<Ciphertext>& baby) const;
 
     size_t babySteps() const { return bs_; }
     size_t giantSteps() const { return gs_; }

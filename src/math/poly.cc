@@ -75,12 +75,17 @@ RnsPoly::operator=(const RnsPoly& other)
 
 RnsPoly
 RnsPoly::fromSigned(std::shared_ptr<const RnsBasis> basis, size_t n_limbs,
-                    bool has_special, const i64* coeffs)
+                    bool has_special, const i64* coeffs, u64 max_abs)
 {
     RnsPoly p(std::move(basis), n_limbs, has_special, false, Uninit{});
-    for (size_t k = 0; k < p.limbCount(); ++k)
-        simd::kernels().reduceCenteredSpan(p.limbData(k), coeffs, p.n_,
-                                           p.mod(k));
+    const simd::Kernels& kern = simd::kernels();
+    for (size_t k = 0; k < p.limbCount(); ++k) {
+        const Modulus& m = p.mod(k);
+        if (max_abs < m.value())
+            kern.liftCenteredSpan(p.limbData(k), coeffs, p.n_, m.value());
+        else
+            kern.reduceCenteredSpan(p.limbData(k), coeffs, p.n_, m);
+    }
     return p;
 }
 
@@ -222,12 +227,17 @@ RnsPoly::automorphism(u64 galois) const
         const Modulus& m = mod(k);
         const u64* src = limbData(k);
         u64* dst = out.limbData(k);
+        // j = i * galois mod 2n, stepped by one add-and-wrap per i
+        // (galois < 2n).
+        u64 j = 0;
         for (size_t i = 0; i < nn; ++i) {
-            u64 j = (static_cast<u64>(i) * galois) % two_n;
             if (j < nn)
                 dst[j] = src[i];
             else
                 dst[j - nn] = m.negMod(src[i]);
+            j += galois;
+            if (j >= two_n)
+                j -= two_n;
         }
     });
     return out;
@@ -269,11 +279,15 @@ RnsPoly::automorphismNtt(u64 galois) const
     HYDRA_ASSERT(nttForm_, "automorphismNtt requires NTT domain");
     const std::vector<size_t>& map = nttAutomorphismMapCached(n_, galois);
     RnsPoly out(basis_, nLimbs_, hasSpecial_, true, Uninit{});
+    const size_t nn = n_;
     parallelFor(0, limbCount_, [&](size_t k) {
-        const u64* src = limbData(k);
-        u64* dst = out.limbData(k);
-        for (size_t j = 0; j < n_; ++j)
-            dst[j] = src[map[j]];
+        // size_t and u64 alias: restrict keeps the map out of the
+        // store's reach so it is not reloaded per element.
+        const size_t* __restrict mp = map.data();
+        const u64* __restrict src = limbData(k);
+        u64* __restrict dst = out.limbData(k);
+        for (size_t j = 0; j < nn; ++j)
+            dst[j] = src[mp[j]];
     });
     return out;
 }
@@ -284,12 +298,16 @@ RnsPoly::addAutomorphismNtt(const RnsPoly& src, u64 galois)
     HYDRA_ASSERT(sameShape(src) && nttForm_,
                  "addAutomorphismNtt requires matching NTT-form operands");
     const std::vector<size_t>& map = nttAutomorphismMapCached(n_, galois);
+    const size_t nn = n_;
     parallelFor(0, limbCount_, [&](size_t k) {
-        const Modulus& m = mod(k);
-        const u64* s = src.limbData(k);
-        u64* dst = limbData(k);
-        for (size_t j = 0; j < n_; ++j)
-            dst[j] = m.addMod(dst[j], s[map[j]]);
+        const u64 q = mod(k).value();
+        const size_t* __restrict mp = map.data();
+        const u64* __restrict s = src.limbData(k);
+        u64* __restrict dst = limbData(k);
+        for (size_t j = 0; j < nn; ++j) {
+            u64 sum = dst[j] + s[mp[j]];
+            dst[j] = sum >= q ? sum - q : sum;
+        }
     });
 }
 
@@ -325,7 +343,10 @@ RnsPoly::divideRoundByLast()
         // Reduce the centered correction into this limb's modulus, NTT
         // it when needed, then fold in (limb - c) * qL^-1 fused.
         u64* c = corrections.data() + k * nn;
-        simd::kernels().reduceCenteredSpan(c, centered, nn, m);
+        if (ql.value() / 2 < m.value())
+            simd::kernels().liftCenteredSpan(c, centered, nn, m.value());
+        else
+            simd::kernels().reduceCenteredSpan(c, centered, nn, m);
         if (nttForm_)
             basis_->ntt(kb).forward(c);
         simd::kernels().subMulScalarSpan(limb, c, nn, inv.value(),

@@ -112,10 +112,17 @@ class RnsPoly
                               size_t n_limbs, bool has_special,
                               const std::vector<i64>& coeffs);
 
-    /** Same, from a raw pointer to n coefficients (pooled scratch). */
+    /**
+     * Same, from a raw pointer to n coefficients (pooled scratch).
+     * Callers that know |coeffs[i]| <= max_abs (e.g.\ centered residues
+     * of a prime q_i, max_abs = q_i / 2) pass it: limbs whose prime
+     * exceeds the bound take the division-free centered lift, the
+     * rest the Barrett reduction.
+     */
     static RnsPoly fromSigned(std::shared_ptr<const RnsBasis> basis,
                               size_t n_limbs, bool has_special,
-                              const i64* coeffs);
+                              const i64* coeffs,
+                              u64 max_abs = ~u64{0});
 
     bool valid() const { return basis_ != nullptr; }
     size_t n() const { return n_; }

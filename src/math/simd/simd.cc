@@ -27,6 +27,9 @@ const Kernels& avx2Kernels();
 #ifdef HYDRA_SIMD_AVX512
 const Kernels& avx512Kernels();
 #endif
+#ifdef HYDRA_SIMD_AVX512IFMA
+const Kernels& avx512IfmaKernels();
+#endif
 
 namespace {
 
@@ -124,6 +127,15 @@ reduceCenteredSpanScalar(u64* dst, const i64* src, size_t n,
 {
     for (size_t i = 0; i < n; ++i)
         dst[i] = m.reduceI64(src[i]);
+}
+
+void
+liftCenteredSpanScalar(u64* dst, const i64* src, size_t n, u64 q)
+{
+    for (size_t i = 0; i < n; ++i) {
+        i64 x = src[i];
+        dst[i] = static_cast<u64>(x) + (x < 0 ? q : 0);
+    }
 }
 
 void
@@ -291,11 +303,12 @@ const Kernels scalar_kernels = {
     negSpanScalar,
     mulSpanScalar,
     macSpanScalar,
-    macPairSpanScalar,
     mulScalarSpanScalar,
     subMulScalarSpanScalar,
     toCenteredSpanScalar,
     reduceCenteredSpanScalar,
+    liftCenteredSpanScalar,
+    macDigitsByPair<macPairSpanScalar>,
     nttForwardScalar,
     nttForwardRadix4Scalar,
     nttInverseScalar,
@@ -317,6 +330,12 @@ tableFor(SimdLevel level)
       case SimdLevel::Avx512:
 #ifdef HYDRA_SIMD_AVX512
         return &avx512Kernels();
+#else
+        return nullptr;
+#endif
+      case SimdLevel::Avx512Ifma:
+#ifdef HYDRA_SIMD_AVX512IFMA
+        return &avx512IfmaKernels();
 #else
         return nullptr;
 #endif
@@ -349,7 +368,7 @@ ensureInit()
         // Pick the strongest runnable level, then apply the optional
         // HYDRA_SIMD_LEVEL cap.  Asking for a level the process cannot
         // run clamps down (never up) with a warning.
-        const Kernels* best = strongestTable(SimdLevel::Avx512);
+        const Kernels* best = strongestTable(SimdLevel::Avx512Ifma);
         SimdLevel want = simdLevelFromEnv(best->level);
         const Kernels* chosen = strongestTable(want);
         if (chosen->level != want) {
@@ -389,7 +408,7 @@ activeLevel()
 SimdLevel
 bestAvailableLevel()
 {
-    return strongestTable(SimdLevel::Avx512)->level;
+    return strongestTable(SimdLevel::Avx512Ifma)->level;
 }
 
 SimdLevel

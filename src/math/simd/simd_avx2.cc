@@ -319,6 +319,23 @@ toCenteredSpanAvx2(i64* dst, const u64* src, size_t n, u64 q)
 }
 
 void
+liftCenteredSpanAvx2(u64* dst, const i64* src, size_t n, u64 q)
+{
+    const __m256i qv = _mm256_set1_epi64x(static_cast<i64>(q));
+    const __m256i zero = _mm256_setzero_si256();
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        __m256i x = loadu(src + i);
+        __m256i neg = _mm256_cmpgt_epi64(zero, x);
+        storeu(dst + i, _mm256_add_epi64(x, _mm256_and_si256(neg, qv)));
+    }
+    for (; i < n; ++i) {
+        i64 x = src[i];
+        dst[i] = static_cast<u64>(x) + (x < 0 ? q : 0);
+    }
+}
+
+void
 reduceCenteredSpanAvx2(u64* dst, const i64* src, size_t n,
                        const Modulus& m)
 {
@@ -500,11 +517,12 @@ const Kernels avx2_kernels = {
     negSpanAvx2,
     mulSpanAvx2,
     macSpanAvx2,
-    macPairSpanAvx2,
     mulScalarSpanAvx2,
     subMulScalarSpanAvx2,
     toCenteredSpanAvx2,
     reduceCenteredSpanAvx2,
+    liftCenteredSpanAvx2,
+    macDigitsByPair<macPairSpanAvx2>,
     nttForwardAvx2,
     nttForwardAvx2,
     nttInverseAvx2,

@@ -9,48 +9,16 @@
  *
  * 64-bit modular multiplication has no single-instruction high half on
  * x86 SIMD; mulhi64() builds it from four vpmuludq partial products.
- * vpmullq (DQ) covers the low half, and vpminuq implements the
- * conditional correction ("subtract q if >= q") branchlessly:
- * min(x, x - q) picks x - q exactly when x >= q because the subtraction
- * wraps otherwise.
- *
- * NTT stages with butterfly offset t >= 8 vectorize directly (all
- * lanes share one broadcast twiddle).  The short-stride stages
- * (t = 4, 2, 1) process 16-element tiles instead: two zmm loads are
- * transposed into u/v lane vectors with vpermi2q, the twiddles -- which
- * are contiguous in the bit-reversed tables -- are splat per block, and
- * the results transposed back.  This keeps every stage of the
- * transform vectorized.
+ * vpmullq (DQ) covers the low half.  The span loops and NTT stages are
+ * the templates of avx512_lanes.hh, instantiated here with these
+ * 64-bit products.
  */
 
-#include "math/simd/simd.hh"
-
-#include <immintrin.h>
-
-#include "math/ntt.hh"
+#include "math/simd/avx512_lanes.hh"
 
 namespace hydra::simd {
 
 namespace {
-
-inline __m512i
-loadu(const void* p)
-{
-    return _mm512_loadu_si512(p);
-}
-
-inline void
-storeu(void* p, __m512i v)
-{
-    _mm512_storeu_si512(p, v);
-}
-
-/** x - q if x >= q else x (unsigned); the Barrett/lazy correction. */
-inline __m512i
-csub(__m512i x, __m512i q)
-{
-    return _mm512_min_epu64(x, _mm512_sub_epi64(x, q));
-}
 
 /**
  * High 64 bits of x * y per lane from four 32x32 partial products.
@@ -72,19 +40,37 @@ mulhi64(__m512i x, __m512i xh, __m512i y, __m512i yh)
         _mm512_srli_epi64(s2, 32));
 }
 
-/** Harvey lazy product a * w mod q in [0, 2q); w/ws/q pre-broadcast. */
-inline __m512i
-mulModLazyVec(__m512i x, __m512i wv, __m512i wsv, __m512i wsvh,
-              __m512i qv)
+/** Harvey lazy product from the 64-bit Shoup quotient. */
+struct Shoup64
 {
-    __m512i xh = _mm512_srli_epi64(x, 32);
-    __m512i hi = mulhi64(x, xh, wsv, wsvh);
-    return _mm512_sub_epi64(_mm512_mullo_epi64(x, wv),
-                            _mm512_mullo_epi64(hi, qv));
-}
+    __m512i qv;
+
+    explicit Shoup64(u64 q) : qv(splat(q)) {}
+
+    struct Tw
+    {
+        __m512i w, ws, wsh;
+    };
+
+    Tw
+    twiddle(__m512i w, __m512i ws) const
+    {
+        return {w, ws, _mm512_srli_epi64(ws, 32)};
+    }
+
+    /** x * w mod q in [0, 2q): x*w - floor(x*ws / 2^64) * q. */
+    __m512i
+    lazy(__m512i x, const Tw& t) const
+    {
+        __m512i xh = _mm512_srli_epi64(x, 32);
+        __m512i hi = mulhi64(x, xh, t.ws, t.wsh);
+        return _mm512_sub_epi64(_mm512_mullo_epi64(x, t.w),
+                                _mm512_mullo_epi64(hi, qv));
+    }
+};
 
 /** Per-modulus constants for the vector Barrett reduction. */
-struct BarrettVec
+struct Barrett64
 {
     __m512i qv;
     __m512i muv;
@@ -94,7 +80,7 @@ struct BarrettVec
     __m128i shr_k1p; ///< >> (k+1)
     __m128i shl_63k; ///< << (63-k)
 
-    explicit BarrettVec(const Modulus& m)
+    explicit Barrett64(const Modulus& m)
         : qv(_mm512_set1_epi64(static_cast<i64>(m.value()))),
           muv(_mm512_set1_epi64(static_cast<i64>(m.barrettMu()))),
           muvh(_mm512_srli_epi64(muv, 32)),
@@ -126,10 +112,11 @@ struct BarrettVec
         return csub(csub(r, qv), qv);
     }
 
-    /** Canonical x[i]*y[i] mod q; xh hoisted by the caller. */
+    /** Canonical x[i]*y[i] mod q. */
     __m512i
-    mulMod(__m512i x, __m512i xh, __m512i y) const
+    mulMod(__m512i x, __m512i y) const
     {
+        __m512i xh = _mm512_srli_epi64(x, 32);
         __m512i yh = _mm512_srli_epi64(y, 32);
         __m512i hi = mulhi64(x, xh, y, yh);
         __m512i lo = _mm512_mullo_epi64(x, y);
@@ -184,105 +171,6 @@ negSpanAvx512(u64* a, size_t n, u64 q)
 }
 
 void
-mulSpanAvx512(u64* a, const u64* b, size_t n, const Modulus& m)
-{
-    const BarrettVec bv(m);
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m512i x = loadu(a + i);
-        __m512i xh = _mm512_srli_epi64(x, 32);
-        storeu(a + i, bv.mulMod(x, xh, loadu(b + i)));
-    }
-    for (; i < n; ++i)
-        a[i] = m.mulMod(a[i], b[i]);
-}
-
-void
-macSpanAvx512(u64* acc, const u64* x, const u64* y, size_t n,
-              const Modulus& m)
-{
-    const BarrettVec bv(m);
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m512i xv = loadu(x + i);
-        __m512i xvh = _mm512_srli_epi64(xv, 32);
-        __m512i p = bv.mulMod(xv, xvh, loadu(y + i));
-        __m512i s = _mm512_add_epi64(loadu(acc + i), p);
-        storeu(acc + i, csub(s, bv.qv));
-    }
-    for (; i < n; ++i)
-        acc[i] = m.addMod(acc[i], m.mulMod(x[i], y[i]));
-}
-
-void
-macPairSpanAvx512(u64* acc0, u64* acc1, const u64* x, const u64* y0,
-                  const u64* y1, size_t n, const Modulus& m)
-{
-    const BarrettVec bv(m);
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m512i xv = loadu(x + i);
-        __m512i xvh = _mm512_srli_epi64(xv, 32);
-        __m512i p0 = bv.mulMod(xv, xvh, loadu(y0 + i));
-        __m512i p1 = bv.mulMod(xv, xvh, loadu(y1 + i));
-        __m512i s0 = _mm512_add_epi64(loadu(acc0 + i), p0);
-        __m512i s1 = _mm512_add_epi64(loadu(acc1 + i), p1);
-        storeu(acc0 + i, csub(s0, bv.qv));
-        storeu(acc1 + i, csub(s1, bv.qv));
-    }
-    for (; i < n; ++i) {
-        u64 xi = x[i];
-        acc0[i] = m.addMod(acc0[i], m.mulMod(xi, y0[i]));
-        acc1[i] = m.addMod(acc1[i], m.mulMod(xi, y1[i]));
-    }
-}
-
-void
-mulScalarSpanAvx512(u64* a, size_t n, u64 w, u64 w_shoup, u64 q)
-{
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q));
-    const __m512i wv = _mm512_set1_epi64(static_cast<i64>(w));
-    const __m512i wsv = _mm512_set1_epi64(static_cast<i64>(w_shoup));
-    const __m512i wsvh = _mm512_srli_epi64(wsv, 32);
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m512i r = mulModLazyVec(loadu(a + i), wv, wsv, wsvh, qv);
-        storeu(a + i, csub(r, qv));
-    }
-    for (; i < n; ++i) {
-        u64 hi = static_cast<u64>(
-            (static_cast<u128>(a[i]) * w_shoup) >> 64);
-        u64 r = a[i] * w - hi * q;
-        a[i] = r >= q ? r - q : r;
-    }
-}
-
-void
-subMulScalarSpanAvx512(u64* a, const u64* c, size_t n, u64 w,
-                       u64 w_shoup, u64 q)
-{
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q));
-    const __m512i wv = _mm512_set1_epi64(static_cast<i64>(w));
-    const __m512i wsv = _mm512_set1_epi64(static_cast<i64>(w_shoup));
-    const __m512i wsvh = _mm512_srli_epi64(wsv, 32);
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m512i d = _mm512_sub_epi64(
-            _mm512_add_epi64(loadu(a + i), qv), loadu(c + i));
-        d = csub(d, qv);
-        __m512i r = mulModLazyVec(d, wv, wsv, wsvh, qv);
-        storeu(a + i, csub(r, qv));
-    }
-    for (; i < n; ++i) {
-        u64 d = a[i] >= c[i] ? a[i] - c[i] : a[i] + q - c[i];
-        u64 hi =
-            static_cast<u64>((static_cast<u128>(d) * w_shoup) >> 64);
-        u64 r = d * w - hi * q;
-        a[i] = r >= q ? r - q : r;
-    }
-}
-
-void
 toCenteredSpanAvx512(i64* dst, const u64* src, size_t n, u64 q)
 {
     const u64 half = q / 2;
@@ -303,6 +191,23 @@ toCenteredSpanAvx512(i64* dst, const u64* src, size_t n, u64 q)
 }
 
 void
+liftCenteredSpanAvx512(u64* dst, const i64* src, size_t n, u64 q)
+{
+    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q));
+    const __m512i zero = _mm512_setzero_si512();
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        __m512i x = loadu(src + i);
+        __mmask8 neg = _mm512_cmplt_epi64_mask(x, zero);
+        storeu(dst + i, _mm512_mask_add_epi64(x, neg, x, qv));
+    }
+    for (; i < n; ++i) {
+        i64 x = src[i];
+        dst[i] = static_cast<u64>(x) + (x < 0 ? q : 0);
+    }
+}
+
+void
 reduceCenteredSpanAvx512(u64* dst, const i64* src, size_t n,
                          const Modulus& m)
 {
@@ -313,7 +218,7 @@ reduceCenteredSpanAvx512(u64* dst, const i64* src, size_t n,
             dst[i] = m.reduceI64(src[i]);
         return;
     }
-    const BarrettVec bv(m);
+    const Barrett64 bv(m);
     const __m512i zero = _mm512_setzero_si512();
     size_t i = 0;
     for (; i + 8 <= n; i += 8) {
@@ -331,207 +236,44 @@ reduceCenteredSpanAvx512(u64* dst, const i64* src, size_t n,
         dst[i] = m.reduceI64(src[i]);
 }
 
-/**
- * Index patterns for the short-stride NTT stages: a 16-element tile
- * (two zmm registers z0/z1) is transposed into the butterfly-top (u)
- * and butterfly-bottom (v) operand vectors and back.  Patterns index
- * the 16-lane concatenation accepted by vpermi2q.
- */
-struct TilePerm
+void
+macPairSpanAvx512(u64* acc0, u64* acc1, const u64* x, const u64* y0,
+                  const u64* y1, size_t n, const Modulus& m)
 {
-    __m512i load_u, load_v;   ///< tile -> u/v operand vectors
-    __m512i store_z0, store_z1; ///< (u', v') -> tile halves
-    __m512i tw_splat;         ///< contiguous twiddles -> per-lane
-    bool splat;               ///< whether tw_splat is needed (t > 1)
-};
-
-inline __m512i
-setrIdx(long long a, long long b, long long c, long long d,
-        long long e, long long f, long long g, long long h)
-{
-    return _mm512_setr_epi64(a, b, c, d, e, f, g, h);
-}
-
-/** Patterns for butterfly offset t in {4, 2, 1}. */
-inline TilePerm
-tilePerm(size_t t)
-{
-    TilePerm p;
-    if (t == 4) {
-        p.load_u = setrIdx(0, 1, 2, 3, 8, 9, 10, 11);
-        p.load_v = setrIdx(4, 5, 6, 7, 12, 13, 14, 15);
-        p.store_z0 = setrIdx(0, 1, 2, 3, 8, 9, 10, 11);
-        p.store_z1 = setrIdx(4, 5, 6, 7, 12, 13, 14, 15);
-        p.tw_splat = setrIdx(0, 0, 0, 0, 1, 1, 1, 1);
-        p.splat = true;
-    } else if (t == 2) {
-        p.load_u = setrIdx(0, 1, 4, 5, 8, 9, 12, 13);
-        p.load_v = setrIdx(2, 3, 6, 7, 10, 11, 14, 15);
-        p.store_z0 = setrIdx(0, 1, 8, 9, 2, 3, 10, 11);
-        p.store_z1 = setrIdx(4, 5, 12, 13, 6, 7, 14, 15);
-        p.tw_splat = setrIdx(0, 0, 1, 1, 2, 2, 3, 3);
-        p.splat = true;
-    } else {
-        p.load_u = setrIdx(0, 2, 4, 6, 8, 10, 12, 14);
-        p.load_v = setrIdx(1, 3, 5, 7, 9, 11, 13, 15);
-        p.store_z0 = setrIdx(0, 8, 1, 9, 2, 10, 3, 11);
-        p.store_z1 = setrIdx(4, 12, 5, 13, 6, 14, 7, 15);
-        p.tw_splat = _mm512_setzero_si512();
-        p.splat = false;
+    const Barrett64 bv(m);
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        __m512i xv = loadu(x + i);
+        __m512i p0 = bv.mulMod(xv, loadu(y0 + i));
+        __m512i p1 = bv.mulMod(xv, loadu(y1 + i));
+        storeu(acc0 + i,
+               csub(_mm512_add_epi64(loadu(acc0 + i), p0), bv.qv));
+        storeu(acc1 + i,
+               csub(_mm512_add_epi64(loadu(acc1 + i), p1), bv.qv));
     }
-    return p;
+    for (; i < n; ++i) {
+        u64 xi = x[i];
+        acc0[i] = m.addMod(acc0[i], m.mulMod(xi, y0[i]));
+        acc1[i] = m.addMod(acc1[i], m.mulMod(xi, y1[i]));
+    }
 }
 
 void
 nttForwardAvx512(const NttTable& tb, u64* a)
 {
-    const size_t nn = tb.n();
-    const u64 q = tb.modulus().value();
-    if (nn < 16) {
+    if (tb.n() < 16)
         scalarKernels().nttForward(tb, a);
-        return;
-    }
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q));
-    const __m512i tqv = _mm512_set1_epi64(static_cast<i64>(2 * q));
-    const u64* W = tb.fwdW();
-    const u64* WS = tb.fwdWShoup();
-
-    size_t t = nn;
-    size_t m = 1;
-    // Long strides: every lane of a block shares one twiddle.
-    for (; m < nn; m <<= 1) {
-        t >>= 1;
-        if (t < 8)
-            break;
-        for (size_t i = 0; i < m; ++i) {
-            size_t j1 = 2 * i * t;
-            const __m512i wv =
-                _mm512_set1_epi64(static_cast<i64>(W[m + i]));
-            const __m512i wsv =
-                _mm512_set1_epi64(static_cast<i64>(WS[m + i]));
-            const __m512i wsvh = _mm512_srli_epi64(wsv, 32);
-            for (size_t j = j1; j < j1 + t; j += 8) {
-                __m512i u = csub(loadu(a + j), tqv);
-                __m512i v = mulModLazyVec(loadu(a + j + t), wv, wsv,
-                                          wsvh, qv);
-                storeu(a + j, _mm512_add_epi64(u, v));
-                storeu(a + j + t,
-                       _mm512_add_epi64(_mm512_sub_epi64(u, v), tqv));
-            }
-        }
-    }
-    // Short strides (t = 4, 2, 1): 16-element tile transpose.
-    for (; m < nn; m <<= 1, t >>= 1) {
-        const TilePerm p = tilePerm(t);
-        const size_t blocks_per_tile = 8 / t;
-        for (size_t base = 0, blk = 0; base < nn;
-             base += 16, blk += blocks_per_tile) {
-            __m512i z0 = loadu(a + base);
-            __m512i z1 = loadu(a + base + 8);
-            __m512i u = _mm512_permutex2var_epi64(z0, p.load_u, z1);
-            __m512i v = _mm512_permutex2var_epi64(z0, p.load_v, z1);
-            // Twiddles for the tile's blocks are contiguous at
-            // W[m + blk]; splat each one across its block's lanes.
-            __m512i wv = loadu(W + m + blk);
-            __m512i wsv = loadu(WS + m + blk);
-            if (p.splat) {
-                wv = _mm512_permutexvar_epi64(p.tw_splat, wv);
-                wsv = _mm512_permutexvar_epi64(p.tw_splat, wsv);
-            }
-            __m512i wsvh = _mm512_srli_epi64(wsv, 32);
-            u = csub(u, tqv);
-            v = mulModLazyVec(v, wv, wsv, wsvh, qv);
-            __m512i nu = _mm512_add_epi64(u, v);
-            __m512i nv =
-                _mm512_add_epi64(_mm512_sub_epi64(u, v), tqv);
-            storeu(a + base,
-                   _mm512_permutex2var_epi64(nu, p.store_z0, nv));
-            storeu(a + base + 8,
-                   _mm512_permutex2var_epi64(nu, p.store_z1, nv));
-        }
-    }
-    for (size_t j = 0; j < nn; j += 8) {
-        __m512i x = csub(loadu(a + j), tqv);
-        storeu(a + j, csub(x, qv));
-    }
+    else
+        nttForwardLanes<Shoup64>(tb, a);
 }
 
 void
 nttInverseAvx512(const NttTable& tb, u64* a)
 {
-    const size_t nn = tb.n();
-    const u64 q = tb.modulus().value();
-    if (nn < 16) {
+    if (tb.n() < 16)
         scalarKernels().nttInverse(tb, a);
-        return;
-    }
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q));
-    const __m512i tqv = _mm512_set1_epi64(static_cast<i64>(2 * q));
-    const u64* W = tb.invW();
-    const u64* WS = tb.invWShoup();
-
-    size_t t = 1;
-    size_t m = nn;
-    // Short strides first (t = 1, 2, 4): tile transpose.
-    for (; m > 1 && t < 8; m >>= 1, t <<= 1) {
-        const size_t h = m >> 1;
-        const TilePerm p = tilePerm(t);
-        const size_t blocks_per_tile = 8 / t;
-        for (size_t base = 0, blk = 0; base < nn;
-             base += 16, blk += blocks_per_tile) {
-            __m512i z0 = loadu(a + base);
-            __m512i z1 = loadu(a + base + 8);
-            __m512i u = _mm512_permutex2var_epi64(z0, p.load_u, z1);
-            __m512i v = _mm512_permutex2var_epi64(z0, p.load_v, z1);
-            __m512i wv = loadu(W + h + blk);
-            __m512i wsv = loadu(WS + h + blk);
-            if (p.splat) {
-                wv = _mm512_permutexvar_epi64(p.tw_splat, wv);
-                wsv = _mm512_permutexvar_epi64(p.tw_splat, wsv);
-            }
-            __m512i wsvh = _mm512_srli_epi64(wsv, 32);
-            __m512i sum = csub(_mm512_add_epi64(u, v), tqv);
-            __m512i diff =
-                _mm512_add_epi64(_mm512_sub_epi64(u, v), tqv);
-            __m512i nv = mulModLazyVec(diff, wv, wsv, wsvh, qv);
-            storeu(a + base,
-                   _mm512_permutex2var_epi64(sum, p.store_z0, nv));
-            storeu(a + base + 8,
-                   _mm512_permutex2var_epi64(sum, p.store_z1, nv));
-        }
-    }
-    // Long strides: broadcast twiddle per block.
-    for (; m > 1; m >>= 1, t <<= 1) {
-        const size_t h = m >> 1;
-        size_t j1 = 0;
-        for (size_t i = 0; i < h; ++i) {
-            const __m512i wv =
-                _mm512_set1_epi64(static_cast<i64>(W[h + i]));
-            const __m512i wsv =
-                _mm512_set1_epi64(static_cast<i64>(WS[h + i]));
-            const __m512i wsvh = _mm512_srli_epi64(wsv, 32);
-            for (size_t j = j1; j < j1 + t; j += 8) {
-                __m512i u = loadu(a + j);
-                __m512i v = loadu(a + j + t);
-                __m512i sum = csub(_mm512_add_epi64(u, v), tqv);
-                __m512i diff =
-                    _mm512_add_epi64(_mm512_sub_epi64(u, v), tqv);
-                storeu(a + j, sum);
-                storeu(a + j + t,
-                       mulModLazyVec(diff, wv, wsv, wsvh, qv));
-            }
-            j1 += 2 * t;
-        }
-    }
-    const __m512i niv =
-        _mm512_set1_epi64(static_cast<i64>(tb.nInvW()));
-    const __m512i nisv =
-        _mm512_set1_epi64(static_cast<i64>(tb.nInvWShoup()));
-    const __m512i nisvh = _mm512_srli_epi64(nisv, 32);
-    for (size_t j = 0; j < nn; j += 8) {
-        __m512i x = mulModLazyVec(loadu(a + j), niv, nisv, nisvh, qv);
-        storeu(a + j, csub(x, qv));
-    }
+    else
+        nttInverseLanes<Shoup64>(tb, a);
 }
 
 const Kernels avx512_kernels = {
@@ -539,13 +281,14 @@ const Kernels avx512_kernels = {
     addSpanAvx512,
     subSpanAvx512,
     negSpanAvx512,
-    mulSpanAvx512,
-    macSpanAvx512,
-    macPairSpanAvx512,
-    mulScalarSpanAvx512,
-    subMulScalarSpanAvx512,
+    mulSpanLanes<Barrett64>,
+    macSpanLanes<Barrett64>,
+    mulScalarSpanLanes<Shoup64>,
+    subMulScalarSpanLanes<Shoup64>,
     toCenteredSpanAvx512,
     reduceCenteredSpanAvx512,
+    liftCenteredSpanAvx512,
+    macDigitsByPair<macPairSpanAvx512>,
     nttForwardAvx512,
     // The lane-parallel radix-2 kernel already subsumes the memory win
     // radix-4 exists for; outputs are bit-identical either way.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numbers>
 
 #include "fhe/bootstrap.hh"
@@ -94,6 +95,78 @@ TEST(Bootstrap, CoeffToSlotExtractsCoefficients)
     }
     EXPECT_LT(maxError(c_lo, h.decryptVec(re)), 1e-3);
     EXPECT_LT(maxError(c_hi, h.decryptVec(im)), 1e-3);
+}
+
+/** All limbs of two polynomials byte-identical. */
+bool
+polyBitEqual(const RnsPoly& a, const RnsPoly& b)
+{
+    if (a.limbCount() != b.limbCount() || a.n() != b.n())
+        return false;
+    for (size_t k = 0; k < a.limbCount(); ++k)
+        if (std::memcmp(a.limbData(k), b.limbData(k),
+                        a.n() * sizeof(u64)) != 0)
+            return false;
+    return true;
+}
+
+TEST(Bootstrap, CoeffToSlotSharedBabyStepsMatchTwoApplies)
+{
+    BootHarness b(btParams());
+    auto& h = b.h;
+    size_t s = h.ctx.slots();
+
+    // CoeffToSlot's two transforms, built as Bootstrapper builds them:
+    // V0[i][j] = conj(zeta_j^i)/n and V1[i][j] = conj(zeta_j^(i+s))/n.
+    CMatrix v0(s, std::vector<cplx>(s));
+    CMatrix v1(s, std::vector<cplx>(s));
+    double inv_n = 1.0 / static_cast<double>(h.ctx.n());
+    for (size_t j = 0; j < s; ++j) {
+        cplx zeta = h.encoder.embeddingRoot(j);
+        cplx zi(1.0, 0.0);
+        std::vector<cplx> pw(2 * s);
+        for (size_t i = 0; i < 2 * s; ++i) {
+            pw[i] = zi;
+            zi *= zeta;
+        }
+        for (size_t i = 0; i < s; ++i) {
+            v0[i][j] = std::conj(pw[i]) * inv_n;
+            v1[i][j] = std::conj(pw[i + s]) * inv_n;
+        }
+    }
+    double scale = h.ctx.params().scale();
+    LinearTransform low(h.encoder, v0, scale);
+    LinearTransform high(h.encoder, v1, scale);
+
+    auto v = test::randomComplexVec(s, 59, 0.01);
+    auto ct = h.encryptVec(v);
+    OpCounter shared_ops, split_ops;
+    h.eval.setCounter(&shared_ops);
+    auto [re, im] = b.boot.coeffToSlot(h.eval, ct);
+    h.eval.setCounter(&split_ops);
+    Ciphertext re2 = low.apply(h.eval, ct);
+    h.eval.addInPlace(re2, h.eval.conjugate(re2));
+    Ciphertext im2 = high.apply(h.eval, ct);
+    h.eval.addInPlace(im2, h.eval.conjugate(im2));
+    h.eval.setCounter(nullptr);
+
+    EXPECT_TRUE(polyBitEqual(re.c0, re2.c0));
+    EXPECT_TRUE(polyBitEqual(re.c1, re2.c1));
+    EXPECT_TRUE(polyBitEqual(im.c0, im2.c0));
+    EXPECT_TRUE(polyBitEqual(im.c1, im2.c1));
+    EXPECT_EQ(re.scale, re2.scale);
+    EXPECT_EQ(im.scale, im2.scale);
+
+    // Sharing saves exactly one hoisted set of bs - 1 baby steps.
+    uint64_t saved = low.babySteps() - 1;
+    EXPECT_EQ(split_ops.count(HeOpType::Rotate) -
+                  shared_ops.count(HeOpType::Rotate),
+              saved);
+    EXPECT_EQ(split_ops.count(HeOpType::KeySwitch) -
+                  shared_ops.count(HeOpType::KeySwitch),
+              saved);
+    EXPECT_EQ(split_ops.count(HeOpType::PMult),
+              shared_ops.count(HeOpType::PMult));
 }
 
 TEST(Bootstrap, SlotToCoeffInvertsCoeffToSlot)
