@@ -125,8 +125,8 @@ main()
 {
     printHeaderBlock("Architecture ablations (Hydra-M, 8 cards)");
 
-    WorkloadModel r18 = makeResNet18();
-    WorkloadModel opt = makeOpt67B();
+    WorkloadModel r18 = workloadByName("resnet18");
+    WorkloadModel opt = workloadByName("opt");
     PrototypeSpec base = hydraMSpec();
     SwitchedNetwork base_net(base.net, base.cluster);
     double r18_base = runWith(base, base_net, r18);

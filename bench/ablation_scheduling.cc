@@ -26,7 +26,7 @@ main()
             PrototypeSpec spec = hydraMSpec();
             spec.mapping.maxChunksPerCard = chunks;
             InferenceRunner runner(spec);
-            InferenceResult res = runner.run(makeResNet18());
+            InferenceResult res = runner.run(workloadByName("resnet18"));
             t.addRow({std::to_string(chunks), fmtF(res.seconds(), 3),
                       fmtPct(res.commFraction(), 2)});
         }
@@ -39,7 +39,8 @@ main()
                     "(Section IV-D)");
         t.header({"workload", "machine", "stepwise (s)", "fused (s)",
                   "gain"});
-        for (const auto& wl : {makeResNet18(), makeBertBase()}) {
+        for (const auto& wl :
+             {workloadByName("resnet18"), workloadByName("bert")}) {
             for (auto spec : {hydraMSpec(), hydraLSpec()}) {
                 InferenceRunner runner(spec);
                 double stepwise = runner.run(wl).seconds();

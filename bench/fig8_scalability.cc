@@ -57,7 +57,7 @@ main()
 
         // Per-procedure comm fraction on OPT-6.7B (paper highlights
         // Boot and Pooling reaching ~90% on FAB-L).
-        WorkloadModel wl = makeOpt67B();
+        WorkloadModel wl = workloadByName("opt");
         InferenceResult h = hr.run(wl);
         InferenceResult f = fr.run(wl);
         TextTable p("\nPer-procedure comm fraction, OPT-6.7B ("

@@ -36,10 +36,10 @@ main()
         std::vector<ProcKind> procs;
     };
     std::vector<Panel> panels;
-    panels.push_back({makeResNet50(),
+    panels.push_back({workloadByName("resnet50"),
                       {ProcKind::ConvBN, ProcKind::NonLinear,
                        ProcKind::FC, ProcKind::Bootstrap}});
-    panels.push_back({makeOpt67B(),
+    panels.push_back({workloadByName("opt"),
                       {ProcKind::PCMM, ProcKind::CCMM,
                        ProcKind::NonLinear, ProcKind::Bootstrap}});
 

@@ -84,7 +84,7 @@ BM_FullInference(benchmark::State& state)
 {
     PrototypeSpec spec = hydraMSpec();
     InferenceRunner runner(spec);
-    WorkloadModel wl = makeResNet18();
+    WorkloadModel wl = workloadByName("resnet18");
     for (auto _ : state) {
         benchmark::DoNotOptimize(runner.run(wl).total.makespan);
     }

@@ -17,7 +17,7 @@ main()
     printHeaderBlock(
         "Section II motivation: ResNet-20 / CIFAR-10 (seconds)");
 
-    WorkloadModel wl = makeResNet20Cifar();
+    WorkloadModel wl = workloadByName("resnet20");
     TextTable t;
     t.header({"Machine", "time (s)", "comm%", "note"});
     for (auto spec : {poseidonSpec(), fabSSpec(), hydraSSpec(),

@@ -8,7 +8,8 @@
  * Usage:
  *   hydra_sim_cli [--machine hydra-s|hydra-m|hydra-l|fab-s|fab-m|
  *                  fab-l|poseidon]
- *                 [--workload resnet18|resnet50|bert|opt|resnet20]
+ *                 [--workload NAME]    (a --list-models name, run as
+ *                  its step list; default resnet18)
  *                 [--cards N]          (custom Hydra with N cards)
  *                 [--fused]            (Section IV-D preloading)
  *                 [--faults SPEC]      (fault injection; SPEC is a
@@ -21,18 +22,16 @@
  *                 [--opt LEVEL]        (pass level of the compiled
  *                  plan, --dump-program and --dump-graph:
  *                  none|safe|aggressive; default safe)
- *                 [--model NAME]       (run a declarative-registry
- *                  model's graph instead of the --workload step list;
- *                  not with --fused)
+ *                 [--model NAME]       (run a registry model's graph
+ *                  instead of the --workload step list; not with
+ *                  --fused)
  *                 [--dump-graph]       (print the model's NetworkGraph
  *                  IR — layers, levels, rotations, edges — after the
  *                  --opt passes; no run.  Without --model the
  *                  --workload step list is lifted into a graph)
  *                 [--json]             (emit --dump-graph as JSON)
  *                 [--list-machines]    (print machine registry, exit)
- *                 [--list-workloads]   (print workload registry, exit)
- *                 [--list-models]      (print declarative model
- *                  registry, exit)
+ *                 [--list-models]      (print model registry, exit)
  */
 
 #include <cinttypes>
@@ -156,9 +155,6 @@ main(int argc, char** argv)
         else if (arg == "--list-machines") {
             printRegistry("machines", machineNames());
             return 0;
-        } else if (arg == "--list-workloads") {
-            printRegistry("workloads", workloadNames());
-            return 0;
         } else if (arg == "--list-models") {
             printRegistry("models", modelSpecNames());
             return 0;
@@ -169,7 +165,7 @@ main(int argc, char** argv)
 
     PrototypeSpec spec = resolveMachine(machine, cards);
 
-    // The graph path: resolve a declarative model (or lift the
+    // The graph path: resolve a registry model (or lift the
     // workload's step list) into the NetworkGraph IR.
     NetworkGraph graph;
     if (!model.empty()) {
@@ -181,7 +177,7 @@ main(int argc, char** argv)
         }
     }
     WorkloadModel wl =
-        model.empty() ? resolveWorkloadModel(workload) : graph.toModel();
+        model.empty() ? workloadByName(workload) : graph.toModel();
     if (model.empty() && dumpGraph)
         graph = NetworkGraph::fromModel(wl);
 

@@ -16,7 +16,7 @@ using namespace hydra;
 int
 main()
 {
-    WorkloadModel wl = makeResNet18();
+    WorkloadModel wl = workloadByName("resnet18");
     std::printf("Workload: %s (%zu steps)\n", wl.name.c_str(),
                 wl.steps.size());
 

@@ -15,7 +15,8 @@ using namespace hydra;
 int
 main()
 {
-    for (const WorkloadModel& wl : {makeBertBase(), makeOpt67B()}) {
+    for (const WorkloadModel& wl :
+         {workloadByName("bert"), workloadByName("opt")}) {
         std::printf("\n##### %s #####\n", wl.name.c_str());
         auto [pcmm_lo, pcmm_hi] = wl.parallelismRange(ProcKind::PCMM);
         auto [ccmm_lo, ccmm_hi] = wl.parallelismRange(ProcKind::CCMM);
@@ -49,7 +50,7 @@ main()
     // Attention-layer anatomy on Hydra-M: one BERT layer's steps.
     std::printf("\nOne BERT-base encoder layer on Hydra-M:\n");
     InferenceRunner runner(hydraMSpec());
-    WorkloadModel wl = makeBertBase();
+    WorkloadModel wl = workloadByName("bert");
     WorkloadModel layer0;
     layer0.name = "layer0";
     layer0.logSlots = wl.logSlots;

@@ -25,7 +25,10 @@
  *                 [--dump-program]      (print each fleet group's
  *                  compiled ExecPlan unit Programs — queue depths,
  *                  message counts, bytes, pass deltas — and exit)
- *                 [--list-machines] [--list-workloads]
+ *                 [--list-machines]
+ *                 [--list-workloads]    (the model registry: every
+ *                  WL a tenant may name, as hydra_sim_cli
+ *                  --list-models prints it)
  *
  * The serve SPEC is a comma list (defaults in parentheses):
  *   seed=N (1)  clusters=N (1)  duration=S (5)  queue=N (64)
@@ -196,7 +199,7 @@ main(int argc, char** argv)
                 std::printf("%s\n", n.c_str());
             return 0;
         } else if (arg == "--list-workloads") {
-            for (const auto& n : workloadNames())
+            for (const auto& n : modelSpecNames())
                 std::printf("%s\n", n.c_str());
             return 0;
         } else

@@ -1,43 +1,19 @@
 /**
  * @file
- * Declarative model frontend: text spec in, NetworkGraph out.
+ * Declarative model frontend, graph side: model spec text or a
+ * registry name in, validated NetworkGraph out.
  *
- * A model spec is a newline- or comma-separated list of key=value
- * items ('#' starts a comment).  Header keys set the CKKS geometry;
- * layer keys append one layer each, chained in authoring order; a
- * block repeats its body COUNT times with an indexed name prefix:
- *
- *   model=NAME                      (required, the display name)
- *   slots=N                         (log2 slot count, default 15)
- *   limbs=N                         (modulus-chain length, default 24)
- *   conv=NAME:PAR[:SCALE[:CTS]]     (ConvBN;   scale 1, 32 cts)
- *   relu=NAME:PAR[:CTS]             (NonLinear ReLU;     32 cts)
- *   pool=NAME:PAR[:CTS]             (Pooling;            16 cts)
- *   fc=NAME:PAR                     (FC, tree-reduced to 1 ct)
- *   boot=NAME:CTS                   (Bootstrap of CTS ciphertexts)
- *   pcmm=NAME:PAR:SCALE             (plaintext-ciphertext matmul)
- *   ccmm=NAME:PAR:SCALE             (ciphertext-ciphertext matmul)
- *   nonlin=NAME:PAR[:CTS]           (NonLinear GeLU/Softmax; 12 cts)
- *   norm=NAME:PAR                   (LayerNorm)
- *   block=PREFIX:COUNT[:START]      (repeat body COUNT times; inner
- *   ...layer items...                layer names become
- *   end                              PREFIX<START+i><name>; no nesting)
- *
- * Every layer is built by the workloads/model.hh step factories, so a
- * parsed layer is field-identical to its hand-built counterpart — the
- * registry specs below reproduce the five hand-built models exactly
- * (asserted by tests/sched_graph_test.cc).
- *
- * tryParseModelGraph follows the ServeSpec::tryParse conventions: on
- * malformed input it returns false with a SpecError naming the
- * offending token — no crash, no exit, no silent default.
+ * The spec grammar and the model registry live in workloads/model.hh
+ * (tryParseModelSpec, modelSpecNames, tryResolveWorkloadModel); these
+ * entry points add NetworkGraph::fromModel and the graph's structural
+ * validation (limbs vs maxLimbs etc.) on top, reporting through the
+ * same SpecError channel — no crash, no exit, no silent default.
  */
 
 #ifndef HYDRA_SCHED_GRAPH_MODELSPEC_HH
 #define HYDRA_SCHED_GRAPH_MODELSPEC_HH
 
 #include <string>
-#include <vector>
 
 #include "sched/graph/graph.hh"
 
@@ -50,40 +26,13 @@ bool tryParseModelGraph(const std::string& text, NetworkGraph& out,
 /** CLI-facing parse: calls fatal() on malformed input. */
 NetworkGraph parseModelGraph(const std::string& text);
 
-/// @name Declarative model registry.
-/// The five hand-built workloads as checked-in specs plus declarative-
-/// only models; `hydra_sim_cli --model` and serving tenants resolve
-/// through here.
-/// @{
-/** Registry names of every declarative model spec. */
-std::vector<std::string> modelSpecNames();
-
-/** True when `name` has a registered spec. */
-bool modelSpecExists(const std::string& name);
-
-/** The registered spec text, or nullptr for an unknown name. */
-const char* modelSpecText(const std::string& name);
-
-/** Parse the registered spec `name`; false + structured error when the
- *  name is unknown (the error lists the valid names). */
+/** The registry model `name` as a graph; false + the registry's
+ *  unknown-name error (listing every name) on an unknown one. */
 bool tryModelGraphByName(const std::string& name, NetworkGraph& out,
                          SpecError& err);
 
 /** CLI-facing registry lookup: calls fatal() on an unknown name. */
 NetworkGraph modelGraphByName(const std::string& name);
-/// @}
-
-/**
- * Unified workload resolution for the serving layer: the hand-built
- * step registry first (bit-identical legacy behaviour), then the
- * declarative model registry lowered via toModel().  False + a
- * structured error listing both registries on an unknown name.
- */
-bool tryResolveWorkloadModel(const std::string& name, WorkloadModel& out,
-                             SpecError& err);
-
-/** CLI/engine-facing resolution: calls fatal() on an unknown name. */
-WorkloadModel resolveWorkloadModel(const std::string& name);
 
 } // namespace hydra
 

@@ -7,7 +7,6 @@
 
 #include "common/logging.hh"
 #include "sched/execplan.hh"
-#include "sched/graph/modelspec.hh"
 #include "sched/progcache.hh"
 #include "serve/cake.hh"
 #include "serve/jobcache.hh"
@@ -1248,11 +1247,8 @@ Engine::Engine(const PrototypeSpec& spec_, const ServeSpec& serve_,
       cardsPer(spec_.cluster.totalCards())
 {
     models.reserve(wlNames.size());
-    // Unified resolution: hand-built step registry first, then the
-    // declarative model registry — serving tenants can name a
-    // graph-compiled model ("mlp3") like any legacy workload.
     for (const auto& n : wlNames)
-        models.push_back(resolveWorkloadModel(n));
+        models.push_back(workloadByName(n));
     size_t n = serve.clusters ? serve.clusters : 1;
     clusters.reserve(n);
     for (size_t c = 0; c < n; ++c)

@@ -1,12 +1,15 @@
 /**
  * @file
- * FHE-based deep learning workload descriptions.
+ * FHE-based deep learning workload descriptions and the model registry.
  *
  * Each model is a sequence of Steps; a Step is one key procedure of the
  * paper (ConvBN, Pooling, FC, Non-linear, PCMM, CCMM, Norm, Bootstrap)
  * with its application-level parallelism and the per-unit ciphertext
  * operation mix of Table I.  The scheduler maps Steps onto cards.
  *
+ * Every model is defined once, as declarative spec text in the registry
+ * (modelspec.cc): the paper's four benchmarks (Section V-A), the
+ * ResNet-20 of its Section II motivation, and a small encrypted MLP.
  * Layer schedules are reconstructed from the models' architectures and
  * the published implementations ([12] for CNNs, [13] for transformers);
  * per-layer unit counts are calibrated so single-card execution time
@@ -21,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.hh"
 #include "trace/heop.hh"
 
 namespace hydra {
@@ -101,9 +105,8 @@ OpMix nonLinearMix();
 /// @name Step factories.
 /// The building vocabulary of every model: each factory fixes one
 /// procedure's op mix, working level, aggregation pattern and output
-/// packing.  The hand-built models below and the declarative frontend
-/// (sched/graph/modelspec.hh) both construct steps through these, so a
-/// parsed layer is field-identical to its hand-built counterpart.
+/// packing.  The model spec grammar below builds every layer through
+/// these.
 /// @{
 Step makeConvStep(const std::string& name, size_t par,
                   double scale = 1.0, size_t out_cts = 32);
@@ -139,35 +142,62 @@ struct WorkloadModel
     size_t stepCount(ProcKind k) const;
 };
 
-/// @name The four benchmark models (paper Section V-A).
-/// @{
-WorkloadModel makeResNet18();
-WorkloadModel makeResNet50();
-WorkloadModel makeBertBase();
-WorkloadModel makeOpt67B();
-/// @}
-
 /**
- * ResNet-20 on CIFAR-10: the small tailored model of the paper's
- * Section II motivation ("the most advanced practical accelerators,
- * Poseidon and FAB, achieve a performance of nearly 3 seconds").
+ * Parse declarative model spec text into a step list.
+ *
+ * A model spec is a newline- or comma-separated list of key=value
+ * items ('#' starts a comment).  Header keys set the CKKS geometry;
+ * layer keys append one layer each, in authoring order; a block
+ * repeats its body COUNT times with an indexed name prefix:
+ *
+ *   model=NAME                      (required, the display name)
+ *   slots=N                         (log2 slot count, default 15)
+ *   limbs=N                         (modulus-chain length, default 24)
+ *   conv=NAME:PAR[:SCALE[:CTS]]     (ConvBN;   scale 1, 32 cts)
+ *   relu=NAME:PAR[:CTS]             (NonLinear ReLU;     32 cts)
+ *   pool=NAME:PAR[:CTS]             (Pooling;            16 cts)
+ *   fc=NAME:PAR                     (FC, tree-reduced to 1 ct)
+ *   boot=NAME:CTS                   (Bootstrap of CTS ciphertexts)
+ *   pcmm=NAME:PAR:SCALE             (plaintext-ciphertext matmul)
+ *   ccmm=NAME:PAR:SCALE             (ciphertext-ciphertext matmul)
+ *   nonlin=NAME:PAR[:CTS]           (NonLinear GeLU/Softmax; 12 cts)
+ *   norm=NAME:PAR                   (LayerNorm)
+ *   block=PREFIX:COUNT[:START]      (repeat body COUNT times; inner
+ *   ...layer items...                layer names become
+ *   end                              PREFIX<START+i><name>; no nesting)
+ *
+ * Every layer is built by the step factories above.  Follows the
+ * ServeSpec::tryParse conventions: on malformed input it returns false
+ * with a SpecError naming the offending token — no crash, no exit, no
+ * silent default.  Graph-level checks (limbs vs maxLimbs, ...) are
+ * tryParseModelGraph's (sched/graph/modelspec.hh).
  */
-WorkloadModel makeResNet20Cifar();
+bool tryParseModelSpec(const std::string& text, WorkloadModel& out,
+                       SpecError& err);
 
-/** All four, in the paper's column order. */
-std::vector<WorkloadModel> allBenchmarks();
-
-/// @name Workload registry (CLI name resolution and discoverability).
+/// @name Model registry: the one name lookup.
+/// Each name resolves to its checked-in spec text, parsed at most once
+/// per process; lookups return a copy.  The CLIs, serving tenants, the
+/// compile corpus and the benches all resolve through here.
 /// @{
-/** CLI names of every registered workload model. */
-std::vector<std::string> workloadNames();
+/** Registry names, in registry order: resnet18, resnet50, bert, opt,
+ *  resnet20, mlp3. */
+std::vector<std::string> modelSpecNames();
 
-/** True when `name` resolves via workloadByName(). */
-bool workloadExists(const std::string& name);
+/** The registered spec text, or nullptr for an unknown name. */
+const char* modelSpecText(const std::string& name);
 
-/** Resolve a workload by CLI name ("resnet18", "bert", ...); calls
- *  fatal() with the list of valid names on an unknown one. */
+/** Resolve `name`; false + a SpecError whose token is the name and
+ *  whose message lists the registry on an unknown one. */
+bool tryResolveWorkloadModel(const std::string& name, WorkloadModel& out,
+                             SpecError& err);
+
+/** CLI/engine-facing lookup: calls fatal() on an unknown name. */
 WorkloadModel workloadByName(const std::string& name);
+
+/** The paper's four benchmark models (Section V-A) in Table II's
+ *  column order: ResNet-18, ResNet-50, BERT-base, OPT-6.7B. */
+std::vector<WorkloadModel> allBenchmarks();
 /// @}
 
 } // namespace hydra

@@ -83,7 +83,8 @@ TEST(Fused, FingerprintsArePinnedPerMachineAndWorkload)
 
 TEST(Fused, NeverSlowerThanStepwise)
 {
-    for (const auto& wl : {makeResNet20Cifar(), makeBertBase()}) {
+    for (const auto& wl :
+         {workloadByName("resnet20"), workloadByName("bert")}) {
         for (auto spec : {hydraMSpec(), hydraLSpec()}) {
             InferenceRunner runner(spec);
             Tick stepwise = runner.run(wl).total.makespan;
@@ -98,7 +99,7 @@ TEST(Fused, SingleCardMatchesStepwiseCompute)
 {
     // With one card there is no cross-card slack to reclaim; the fused
     // makespan equals the stepwise makespan minus the sync gaps.
-    WorkloadModel wl = makeResNet20Cifar();
+    WorkloadModel wl = workloadByName("resnet20");
     InferenceRunner runner(hydraSSpec());
     InferenceResult stepwise = runner.run(wl);
     RunStats fused = runner.runFused(wl).stats;
@@ -111,7 +112,7 @@ TEST(Fused, SingleCardMatchesStepwiseCompute)
 
 TEST(Fused, WorkIsConserved)
 {
-    WorkloadModel wl = makeResNet18();
+    WorkloadModel wl = workloadByName("resnet18");
     InferenceRunner runner(hydraMSpec());
     InferenceResult stepwise = runner.run(wl);
     RunStats fused = runner.runFused(wl).stats;
@@ -126,7 +127,7 @@ TEST(Fused, WorkIsConserved)
 
 TEST(Fused, Deterministic)
 {
-    WorkloadModel wl = makeBertBase();
+    WorkloadModel wl = workloadByName("bert");
     InferenceRunner runner(hydraLSpec());
     EXPECT_EQ(runner.runFused(wl).stats.makespan,
               runner.runFused(wl).stats.makespan);

@@ -1,18 +1,19 @@
 /**
  * @file
  * Graph-compiler tests (DESIGN.md §15): the NetworkGraph IR must
- * round-trip losslessly with the flat step-list world, the declarative
- * registry specs must reproduce the hand-built models field for field,
- * malformed model specs must fail with a named SpecError (table + 4000
- * fuzz iterations, never a crash), Safe-level graph execution must be
- * tick-identical to the hand-built step lists (golden pins on two
- * machines), and the Aggressive cross-step passes (boot-plan,
- * fuse-linear, prefetch) must fire where modeled and strictly reduce
- * the BERT makespan.
+ * round-trip losslessly with the flat step-list world, every registry
+ * model must stay pinned field for field and resolve alike through the
+ * step-list and graph entry points, malformed model specs must fail
+ * with a named SpecError (table + 4000 fuzz iterations, never a crash),
+ * Safe-level graph execution must be tick-identical to the step lists
+ * (golden pins on two machines), and the Aggressive cross-step passes
+ * (boot-plan, fuse-linear, prefetch) must fire where modeled and
+ * strictly reduce the BERT makespan.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -50,7 +51,7 @@ expectStepEq(const Step& a, const Step& b, const std::string& ctx)
 
 TEST(GraphIR, RoundTripsEveryRegistryWorkload)
 {
-    for (const std::string& name : workloadNames()) {
+    for (const std::string& name : modelSpecNames()) {
         WorkloadModel wl = workloadByName(name);
         NetworkGraph g = NetworkGraph::fromModel(wl);
         SpecError err;
@@ -167,39 +168,105 @@ TEST(GraphIR, DescribeAndJsonCarryTheLayers)
 // ---------------------------------------------------------------------------
 // Declarative frontend: registry fidelity, grammar, structured errors.
 
-TEST(ModelSpec, RegistryReproducesHandBuiltModels)
+/** FNV-1a over every field a model definition fixes: name, geometry,
+ *  and per step kind, name, parallelism, op mix, limbs, aggregation,
+ *  polynomial degree, unitScale's bit pattern and output packing. */
+uint64_t
+modelFnv(const WorkloadModel& m)
 {
-    for (const char* name :
-         {"resnet18", "resnet50", "bert", "opt", "resnet20"}) {
-        ASSERT_TRUE(modelSpecExists(name)) << name;
-        WorkloadModel ref = workloadByName(name);
-        WorkloadModel got = modelGraphByName(name).toModel();
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto u64 = [&](uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= static_cast<uint8_t>(v >> (8 * i));
+            h *= 0x100000001b3ull;
+        }
+    };
+    auto str = [&](const std::string& s) {
+        u64(s.size());
+        for (char c : s) {
+            h ^= static_cast<uint8_t>(c);
+            h *= 0x100000001b3ull;
+        }
+    };
+    str(m.name);
+    u64(m.logSlots);
+    u64(m.maxLimbs);
+    u64(m.steps.size());
+    for (const Step& s : m.steps) {
+        u64(static_cast<uint64_t>(s.kind));
+        str(s.name);
+        u64(s.parallelism);
+        u64(s.perUnit.rotations);
+        u64(s.perUnit.cmults);
+        u64(s.perUnit.pmults);
+        u64(s.perUnit.hadds);
+        u64(s.limbs);
+        u64(static_cast<uint64_t>(s.agg));
+        u64(s.polyDegree);
+        uint64_t scale = 0;
+        std::memcpy(&scale, &s.unitScale, sizeof scale);
+        u64(scale);
+        u64(s.outputCts);
+    }
+    return h;
+}
+
+TEST(ModelSpec, RegistryModelsArePinned)
+{
+    struct Pin
+    {
+        const char* name;
+        uint64_t fnv;
+    };
+    const Pin kPins[] = {
+        {"resnet18", 0x8e0134e98ee40a3full},
+        {"resnet50", 0x3e386474599671b5ull},
+        {"bert", 0x69a9c68e60e719a5ull},
+        {"opt", 0xbc61acfd1b48e189ull},
+        {"resnet20", 0x766d23a2d21a0ae7ull},
+        {"mlp3", 0xb5536b17a97c76cbull},
+    };
+    std::vector<std::string> names = modelSpecNames();
+    ASSERT_EQ(names.size(), std::size(kPins));
+    for (size_t i = 0; i < names.size(); ++i) {
+        EXPECT_EQ(names[i], kPins[i].name);
+        WorkloadModel m;
+        SpecError err;
+        ASSERT_TRUE(tryResolveWorkloadModel(names[i], m, err))
+            << err.describe();
+        uint64_t got = modelFnv(m);
+        EXPECT_EQ(got, kPins[i].fnv)
+            << names[i] << " " << std::hex << "0x" << got << "ull";
+    }
+
+    // The paper's four models, in Table II's column order.
+    uint64_t order = 0xcbf29ce484222325ull;
+    for (const WorkloadModel& m : allBenchmarks()) {
+        order ^= modelFnv(m);
+        order *= 0x100000001b3ull;
+    }
+    EXPECT_EQ(order, 0x475f65813a3125ffull)
+        << std::hex << "0x" << order << "ull";
+}
+
+TEST(ModelSpec, EveryNameResolvesAlikeThroughBothEntryPoints)
+{
+    for (const std::string& name : modelSpecNames()) {
+        WorkloadModel ref;
+        NetworkGraph g;
+        SpecError err;
+        ASSERT_TRUE(tryResolveWorkloadModel(name, ref, err))
+            << err.describe();
+        ASSERT_TRUE(tryModelGraphByName(name, g, err)) << err.describe();
+        WorkloadModel got = g.toModel();
         EXPECT_EQ(got.name, ref.name);
         EXPECT_EQ(got.logSlots, ref.logSlots);
         EXPECT_EQ(got.maxLimbs, ref.maxLimbs);
         ASSERT_EQ(got.steps.size(), ref.steps.size()) << name;
         for (size_t i = 0; i < ref.steps.size(); ++i)
             expectStepEq(got.steps[i], ref.steps[i],
-                         std::string(name) + "/" + ref.steps[i].name);
+                         name + "/" + ref.steps[i].name);
     }
-}
-
-TEST(ModelSpec, Mlp3IsDeclarativeOnly)
-{
-    EXPECT_TRUE(modelSpecExists("mlp3"));
-    EXPECT_FALSE(workloadExists("mlp3"));
-
-    // The unified resolver reaches it, so serving tenants can name it.
-    WorkloadModel m;
-    SpecError err;
-    ASSERT_TRUE(tryResolveWorkloadModel("mlp3", m, err))
-        << err.describe();
-    EXPECT_EQ(m.name, "MLP-3");
-    EXPECT_FALSE(m.steps.empty());
-
-    // Hand-built names keep resolving through the legacy registry.
-    WorkloadModel r18 = resolveWorkloadModel("resnet18");
-    EXPECT_EQ(r18.name, workloadByName("resnet18").name);
 }
 
 TEST(ModelSpec, UnknownNamesListTheRegistry)
@@ -209,12 +276,13 @@ TEST(ModelSpec, UnknownNamesListTheRegistry)
     EXPECT_FALSE(tryModelGraphByName("nope", g, err));
     EXPECT_EQ(err.token, "nope");
     EXPECT_NE(err.message.find("unknown model"), std::string::npos);
+    EXPECT_NE(err.message.find("resnet50"), std::string::npos);
     EXPECT_NE(err.message.find("mlp3"), std::string::npos);
 
     WorkloadModel m;
     EXPECT_FALSE(tryResolveWorkloadModel("nope", m, err));
-    EXPECT_NE(err.message.find("unknown workload or model"),
-              std::string::npos);
+    EXPECT_EQ(err.token, "nope");
+    EXPECT_NE(err.message.find("unknown model"), std::string::npos);
     EXPECT_NE(err.message.find("resnet50"), std::string::npos);
     EXPECT_NE(err.message.find("mlp3"), std::string::npos);
 }
@@ -360,7 +428,7 @@ struct GraphGolden
 {
     const char* machine;
     const char* model;
-    uint64_t makespan; // == the hand-built pin in sched_compile_test
+    uint64_t makespan; // == the step-list pin in sched_compile_test
 };
 
 /** Compile `graph` for `runner`'s machine through the one compile
@@ -561,8 +629,8 @@ TEST(NetCompile, InvalidGraphSurfacesStructuredError)
 
 TEST(NetCompile, DeclarativeModelServesAsTenant)
 {
-    // Serving tenants resolve through resolveWorkloadModel, so a
-    // declarative-only registry model is a legal workload class.
+    // Serving tenants resolve through the model registry, so a model
+    // outside the paper's set is a legal workload class.
     Federation fed(machineByName("hydra-m"),
                    ServeSpec::parse(
                        "seed=3,duration=120,tenant=enc:open:mlp3:0.05"));

@@ -18,7 +18,7 @@ namespace {
 
 TEST(Runner, AllMachinesCompleteResNet18)
 {
-    WorkloadModel wl = makeResNet18();
+    WorkloadModel wl = workloadByName("resnet18");
     for (auto spec : {hydraSSpec(), hydraMSpec(), hydraLSpec(),
                       fabSSpec(), fabMSpec(), poseidonSpec()}) {
         InferenceRunner runner(spec);
@@ -34,7 +34,7 @@ TEST(Runner, DeterministicAcrossRuns)
 {
     PrototypeSpec spec = hydraMSpec();
     InferenceRunner runner(spec);
-    WorkloadModel wl = makeResNet18();
+    WorkloadModel wl = workloadByName("resnet18");
     InferenceResult a = runner.run(wl);
     InferenceResult b = runner.run(wl);
     EXPECT_EQ(a.total.makespan, b.total.makespan);
@@ -45,7 +45,7 @@ TEST(Runner, ProcedureTimesSumToTotal)
 {
     PrototypeSpec spec = hydraMSpec();
     InferenceRunner runner(spec);
-    InferenceResult res = runner.run(makeResNet18());
+    InferenceResult res = runner.run(workloadByName("resnet18"));
     Tick sum = 0;
     for (size_t k = 0; k < kNumProcKinds; ++k)
         sum += res.procTime(static_cast<ProcKind>(k));
@@ -60,7 +60,7 @@ TEST(Runner, ScalingWithinPaperBands)
 {
     // Hydra-M over Hydra-S: paper reports 6.3x - 7.5x; allow a
     // tolerance band of 5x - 9x for the reproduction.
-    WorkloadModel wl = makeResNet18();
+    WorkloadModel wl = workloadByName("resnet18");
     InferenceRunner rs{hydraSSpec()};
     InferenceRunner rm{hydraMSpec()};
     double speedup = rs.run(wl).seconds() / rm.run(wl).seconds();
@@ -70,7 +70,7 @@ TEST(Runner, ScalingWithinPaperBands)
 
 TEST(Runner, FabSlowerThanHydraSameCards)
 {
-    WorkloadModel wl = makeBertBase();
+    WorkloadModel wl = workloadByName("bert");
     InferenceRunner hm{hydraMSpec()};
     InferenceRunner fm{fabMSpec()};
     double ratio = fm.run(wl).seconds() / hm.run(wl).seconds();
@@ -81,7 +81,7 @@ TEST(Runner, FabSlowerThanHydraSameCards)
 
 TEST(Runner, PoseidonBetweenFabAndHydra)
 {
-    WorkloadModel wl = makeResNet18();
+    WorkloadModel wl = workloadByName("resnet18");
     double h = InferenceRunner{hydraSSpec()}.run(wl).seconds();
     double p = InferenceRunner{poseidonSpec()}.run(wl).seconds();
     double f = InferenceRunner{fabSSpec()}.run(wl).seconds();
@@ -91,7 +91,7 @@ TEST(Runner, PoseidonBetweenFabAndHydra)
 
 TEST(Runner, CommOverheadGrowsWithCards)
 {
-    WorkloadModel wl = makeResNet18();
+    WorkloadModel wl = workloadByName("resnet18");
     double m = InferenceRunner{hydraMSpec()}.run(wl).commFraction();
     double l = InferenceRunner{hydraLSpec()}.run(wl).commFraction();
     EXPECT_LT(m, l);
@@ -100,7 +100,7 @@ TEST(Runner, CommOverheadGrowsWithCards)
 TEST(Runner, OptCommOverheadStaysTiny)
 {
     // Paper headline: 0.04% (Hydra-M) and 1.4% (Hydra-L) on OPT-6.7B.
-    WorkloadModel wl = makeOpt67B();
+    WorkloadModel wl = workloadByName("opt");
     double m = InferenceRunner{hydraMSpec()}.run(wl).commFraction();
     double l = InferenceRunner{hydraLSpec()}.run(wl).commFraction();
     EXPECT_LT(m, 0.005);
@@ -114,28 +114,29 @@ TEST(Runner, LlmScalesBetterThanCnnAt64Cards)
     // ResNet family.
     InferenceRunner rs{hydraSSpec()};
     InferenceRunner rl{hydraLSpec()};
-    double cnn = rs.run(makeResNet18()).seconds() /
-                 rl.run(makeResNet18()).seconds();
-    double llm = rs.run(makeOpt67B()).seconds() /
-                 rl.run(makeOpt67B()).seconds();
+    double cnn = rs.run(workloadByName("resnet18")).seconds() /
+                 rl.run(workloadByName("resnet18")).seconds();
+    double llm = rs.run(workloadByName("opt")).seconds() /
+                 rl.run(workloadByName("opt")).seconds();
     EXPECT_GT(llm, cnn);
 }
 
 TEST(Runner, StepResultsCarryLabels)
 {
     InferenceRunner runner{hydraMSpec()};
-    InferenceResult res = runner.run(makeBertBase());
+    InferenceResult res = runner.run(workloadByName("bert"));
     size_t boot_steps = 0;
     for (const auto& s : res.steps)
         if (s.kind == ProcKind::Bootstrap)
             ++boot_steps;
-    EXPECT_EQ(boot_steps, makeBertBase().stepCount(ProcKind::Bootstrap));
+    EXPECT_EQ(boot_steps,
+              workloadByName("bert").stepCount(ProcKind::Bootstrap));
 }
 
 TEST(RunnerFaults, RepeatedCardDeathsDedupAndTerminate)
 {
     InferenceRunner runner{hydraMSpec()};
-    WorkloadModel wl = makeResNet18();
+    WorkloadModel wl = workloadByName("resnet18");
 
     FaultPlan one;
     one.cardFailAt[2] = secondsToTicks(0.5);
@@ -171,7 +172,7 @@ TEST(RunnerJobs, AlignedGroupMatchesWholeMachine)
     // A whole-server 8-card slice of Hydra-L is exactly a Hydra-M:
     // the job-scoped path must reproduce the standalone run tick for
     // tick, including on a non-zero start tick.
-    WorkloadModel wl = makeResNet18();
+    WorkloadModel wl = workloadByName("resnet18");
     InferenceResult whole = InferenceRunner{hydraMSpec()}.run(wl);
 
     InferenceRunner large{hydraLSpec()};
@@ -186,7 +187,7 @@ TEST(RunnerJobs, AlignedGroupMatchesWholeMachine)
 TEST(RunnerJobs, ResumeComposesWithFullRun)
 {
     InferenceRunner runner{hydraMSpec()};
-    WorkloadModel wl = makeResNet18();
+    WorkloadModel wl = workloadByName("resnet18");
     CardGroup all = CardGroup::contiguous(0, 8);
     std::shared_ptr<const ExecPlan> plan = runner.planForJob(wl, all);
 
@@ -215,7 +216,7 @@ TEST(RunnerJobs, PreemptedResumeFingerprintIsExact)
     // run bit for bit — not just the makespan, but every
     // execution-visible RunStats field, at every possible split point.
     InferenceRunner runner{hydraMSpec()};
-    WorkloadModel wl = makeResNet18();
+    WorkloadModel wl = workloadByName("resnet18");
     CardGroup all = CardGroup::contiguous(0, 8);
     std::shared_ptr<const ExecPlan> plan = runner.planForJob(wl, all);
 
@@ -257,7 +258,7 @@ TEST(RunnerJobs, KillFreeWindowsAreStartInvariant)
     // projections (kills only on cards outside the group, which the
     // projection drops) must give the same outcome at two start ticks.
     InferenceRunner runner{hydraMSpec()};
-    WorkloadModel wl = makeResNet18();
+    WorkloadModel wl = workloadByName("resnet18");
     std::mt19937_64 rng(20261019);
     for (int trial = 0; trial < 12; ++trial) {
         CardGroup group;
@@ -318,7 +319,7 @@ TEST(RunnerJobs, RaggedGroupDegradesAndSurvives)
     // re-dispatch onto the survivors and finish degraded, reporting
     // the dead card by its original machine index.
     InferenceRunner runner{hydraMSpec()};
-    WorkloadModel wl = makeResNet18();
+    WorkloadModel wl = workloadByName("resnet18");
     CardGroup group;
     group.cards = {1, 4, 6};
     std::shared_ptr<const ExecPlan> job = runner.planForJob(wl, group);

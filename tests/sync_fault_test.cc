@@ -519,7 +519,7 @@ TEST(Degraded, TerminalErrorTickIsOnTheInferenceClock)
     // inference clock, not a tick relative to the failed unit.
     PrototypeSpec spec = hydraPrototype("tiny", 1, 2);
     InferenceRunner runner(spec);
-    WorkloadModel wl = makeResNet20Cifar();
+    WorkloadModel wl = workloadByName("resnet20");
     Tick T = runner.run(wl).total.makespan;
     FaultPlan plan;
     plan.cardFailAt[0] = T / 2;
@@ -586,7 +586,8 @@ TEST(Degraded, WholeMachineRunEqualsRunJobFromTickZero)
     PrototypeSpec spec = hydraMSpec();
     InferenceRunner runner(spec);
     CardGroup all = CardGroup::contiguous(0, spec.cluster.totalCards());
-    for (const WorkloadModel& wl : {makeResNet18(), makeBertBase()}) {
+    for (const WorkloadModel& wl :
+         {workloadByName("resnet18"), workloadByName("bert")}) {
         Tick T = runner.run(wl).total.makespan;
         FaultPlan kill;
         kill.cardFailAt[1] = T / 3;

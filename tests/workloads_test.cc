@@ -44,10 +44,10 @@ class ModelTest : public ::testing::TestWithParam<int>
     model() const
     {
         switch (GetParam()) {
-          case 0: return makeResNet18();
-          case 1: return makeResNet50();
-          case 2: return makeBertBase();
-          default: return makeOpt67B();
+          case 0: return workloadByName("resnet18");
+          case 1: return workloadByName("resnet50");
+          case 2: return workloadByName("bert");
+          default: return workloadByName("opt");
         }
     }
 };
@@ -80,7 +80,8 @@ INSTANTIATE_TEST_SUITE_P(Models, ModelTest, ::testing::Values(0, 1, 2, 3));
 
 TEST(TableOneRanges, CnnModels)
 {
-    for (const auto& m : {makeResNet18(), makeResNet50()}) {
+    for (const auto& m :
+         {workloadByName("resnet18"), workloadByName("resnet50")}) {
         auto [clo, chi] = m.parallelismRange(ProcKind::ConvBN);
         EXPECT_GE(chi, 384u) << m.name;
         EXPECT_LE(chi, 1024u) << m.name; // Table I max
@@ -95,7 +96,7 @@ TEST(TableOneRanges, CnnModels)
 
 TEST(TableOneRanges, LlmModels)
 {
-    WorkloadModel bert = makeBertBase();
+    WorkloadModel bert = workloadByName("bert");
     auto [plo, phi] = bert.parallelismRange(ProcKind::PCMM);
     EXPECT_EQ(plo, 98304u);
     EXPECT_EQ(phi, 393216u);
@@ -103,7 +104,7 @@ TEST(TableOneRanges, LlmModels)
     EXPECT_EQ(cclo, 384u);
     EXPECT_EQ(cchi, 384u);
 
-    WorkloadModel opt = makeOpt67B();
+    WorkloadModel opt = workloadByName("opt");
     auto [olo, ohi] = opt.parallelismRange(ProcKind::PCMM);
     EXPECT_EQ(olo, 153600u);
     EXPECT_EQ(ohi, 614400u);
@@ -117,12 +118,12 @@ TEST(TableOneRanges, ModelScalesOrdered)
 {
     // ResNet-50 carries more conv work than ResNet-18; OPT more matmul
     // work than BERT.
-    WorkloadModel r18 = makeResNet18();
-    WorkloadModel r50 = makeResNet50();
+    WorkloadModel r18 = workloadByName("resnet18");
+    WorkloadModel r50 = workloadByName("resnet50");
     EXPECT_GT(r50.stepCount(ProcKind::ConvBN),
               r18.stepCount(ProcKind::ConvBN));
-    WorkloadModel bert = makeBertBase();
-    WorkloadModel opt = makeOpt67B();
+    WorkloadModel bert = workloadByName("bert");
+    WorkloadModel opt = workloadByName("opt");
     EXPECT_GT(opt.steps.size(), bert.steps.size());
     EXPECT_GT(opt.totalUnits(ProcKind::PCMM),
               bert.totalUnits(ProcKind::PCMM));
